@@ -120,9 +120,15 @@ object Gmm {
   /** End-to-end: fit the mixture over matched edge weights and return the stop
     * threshold. With fewer than four edges there is nothing to fit — keep all.
     */
-  def stopThreshold(weights: Array[Double]): Double = {
-    if (weights.length < 4) return Double.NegativeInfinity
-    val g = fit(weights)
-    selectThreshold(g, weights.min, weights.max)
-  }
+  def stopThreshold(weights: Array[Double]): Double = stopThresholdWithFit(weights)._1
+
+  /** [[stopThreshold]] plus the fitted mixture it was selected from (None
+    * when there were too few edges to fit).
+    */
+  def stopThresholdWithFit(weights: Array[Double]): (Double, Option[Gmm2]) =
+    if (weights.length < 4) (Double.NegativeInfinity, None)
+    else {
+      val g = fit(weights)
+      (selectThreshold(g, weights.min, weights.max), Some(g))
+    }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.UserDefinedFunction
 
@@ -72,10 +72,4 @@ object Histories {
 
   /** Convenience: number of distinct entities in a history set. */
   def nEntities(hist: DataFrame): Long = hist.select("id").distinct().count()
-
-  /** Convenience for tests: build histories from an in-memory record list. */
-  def recordsDf(spark: SparkSession, rows: Seq[(Long, Long, Double, Double)]): DataFrame = {
-    import spark.implicits._
-    rows.toDF("id", "ts", "lat", "lon")
-  }
 }

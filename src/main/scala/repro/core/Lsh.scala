@@ -76,7 +76,8 @@ object Lsh {
     * have no row (the placeholder).
     *
     * Ties on the record count break toward the smallest cell id, so the
-    * result is deterministic and matches [[HistoryTree.dominatingCell]].
+    * result is deterministic and matches `HistoryTree.dominatingCell`, the
+    * in-core oracle under `src/test` (DESIGN S2).
     */
   def signatures(records: DataFrame, cfg: LshConfig, windowSec: Long): DataFrame = {
     val qSec = windowSec * cfg.stepWindows
@@ -140,14 +141,5 @@ object Lsh {
     val sigLen = (qMax - qMin + 1).toInt
     val (b, r) = bandsFor(sigLen, cfg.t)
     (candidates(sigE, sigI, qMin, r, cfg.numBuckets), sigLen, b, r)
-  }
-
-  /** Signature similarity of two aligned signatures (matching dominating
-    * cells / signature length) — analysis & tests only; the pipeline never
-    * materializes it.
-    */
-  def signatureSimilarity(a: Map[Long, Long], b: Map[Long, Long], sigLen: Int): Double = {
-    require(sigLen > 0)
-    a.count { case (q, c) => b.get(q).contains(c) }.toDouble / sigLen
   }
 }

@@ -25,22 +25,4 @@ object Matching {
     }
     out.toSeq
   }
-
-  /** Exact maximum-weight matching by exhaustive search — test oracle only
-    * (exponential; callers keep graphs tiny).
-    */
-  def exhaustive(edges: Seq[Edge]): Seq[Edge] = {
-    def best(remaining: List[Edge], usedU: Set[Long], usedV: Set[Long]): (Double, List[Edge]) =
-      remaining match {
-        case Nil => (0.0, Nil)
-        case e :: rest =>
-          val (skipW, skipM) = best(rest, usedU, usedV)
-          if (usedU(e.u) || usedV(e.v)) (skipW, skipM)
-          else {
-            val (takeW, takeM) = best(rest, usedU + e.u, usedV + e.v)
-            if (takeW + e.w > skipW) (takeW + e.w, e :: takeM) else (skipW, skipM)
-          }
-      }
-    best(edges.toList, Set.empty, Set.empty)._2
-  }
 }

@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions._
 /** End-to-end SLIM pipeline (paper Alg. 1 + §3.2 + §4).
   *
   * Stages, all DataFrame transformations until the per-edge reduction:
-  *  1. mobility histories + idf + BM25 length norms per dataset;
+  *  1. mobility histories + idf + BM25 length norms per dataset ([[prepare]]);
   *  2. candidate pairs — dominating-cell banding LSH, or the full cross
   *     product for brute force;
   *  3. candidate-pair similarity join with MNN/MFN window scoring;
@@ -46,7 +46,8 @@ object Slim {
     * @param comparisons      bin-pair distance computations performed (the
     *                         paper's "pairwise record comparisons" cost)
     * @param alibiEntityPairs scored pairs containing >= 1 alibi bin pair
-    * @param elapsedMs        wall time of stages 2–5
+    * @param elapsedMs        wall time of stages 1–5, from building the
+    *                         histories to the thresholded links
     */
   final case class SlimResult(
       links: Seq[(Long, Long, Double)],
@@ -58,6 +59,27 @@ object Slim {
       alibiEntityPairs: Long,
       elapsedMs: Long,
   )
+
+  /** One dataset after stage 1, ready for the similarity join.
+    *
+    * @param histories leaf bins from [[Histories.build]], cached until
+    *                  [[unpersist]]
+    * @param bins      idf-weighted bins per window from [[Histories.binsByWindow]]
+    * @param lens      BM25 length norms from [[Histories.lengthNorm]]
+    */
+  final case class Prepared(histories: DataFrame, bins: DataFrame, lens: DataFrame) {
+    def unpersist(): Unit = histories.unpersist()
+  }
+
+  /** Stage 1 for one dataset: its histories, per-window bins carrying the
+    * dataset's own idf (Eq. 3), and its length norms (Eq. 2).
+    */
+  def prepare(records: DataFrame, cfg: SlimConfig): Prepared = {
+    val hist = Histories.build(records, cfg.level, cfg.windowSec).cache()
+    Prepared(hist,
+      Histories.binsByWindow(hist, Histories.idf(hist, Histories.nEntities(hist))),
+      Histories.lengthNorm(hist, cfg.bParam))
+  }
 
   /** Cross product of the two entity id sets — brute-force candidates. */
   def allPairsCandidates(recordsE: DataFrame, recordsI: DataFrame): DataFrame = {
@@ -71,14 +93,8 @@ object Slim {
            cfg: SlimConfig): SlimResult = {
     val t0 = System.nanoTime()
 
-    val histE = Histories.build(recordsE, cfg.level, cfg.windowSec).cache()
-    val histI = Histories.build(recordsI, cfg.level, cfg.windowSec).cache()
-    val nE = Histories.nEntities(histE)
-    val nI = Histories.nEntities(histI)
-    val binsE = Histories.binsByWindow(histE, Histories.idf(histE, nE))
-    val binsI = Histories.binsByWindow(histI, Histories.idf(histI, nI))
-    val lensE = Histories.lengthNorm(histE, cfg.bParam)
-    val lensI = Histories.lengthNorm(histI, cfg.bParam)
+    val prepE = prepare(recordsE, cfg)
+    val prepI = prepare(recordsI, cfg)
 
     val candidates = cfg.lsh match {
       case Some(l) => Lsh.candidatePairs(recordsE, recordsI, l, cfg.windowSec)._1
@@ -87,7 +103,7 @@ object Slim {
     val cand = candidates.cache()
     val nCandidates = cand.count()
 
-    val scored = Similarity.scoreEdges(binsE, binsI, cand, lensE, lensI,
+    val scored = Similarity.scoreEdges(prepE.bins, prepI.bins, cand, prepE.lens, prepI.lens,
       cfg.scoreConfig).cache()
     val stats = scored.agg(
       coalesce(sum("comparisons"), lit(0L)).as("comps"),
@@ -99,35 +115,12 @@ object Slim {
       .map(r => Matching.Edge(r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq
 
     val matched = Matching.greedy(edges)
-    val weights = matched.map(_.w).toArray
-    val (threshold, gmm) =
-      if (weights.length < 4) (Double.NegativeInfinity, None)
-      else {
-        val g = Gmm.fit(weights)
-        (Gmm.selectThreshold(g, weights.min, weights.max), Some(g))
-      }
+    val (threshold, gmm) = Gmm.stopThresholdWithFit(matched.map(_.w).toArray)
     val links = matched.filter(_.w >= threshold).map(e => (e.u, e.v, e.w))
 
     val elapsedMs = (System.nanoTime() - t0) / 1000000L
-    scored.unpersist(); cand.unpersist(); histE.unpersist(); histI.unpersist()
+    scored.unpersist(); cand.unpersist(); prepE.unpersist(); prepI.unpersist()
     SlimResult(links, matched, threshold, gmm, nCandidates,
       stats.getLong(0), stats.getLong(1), elapsedMs)
-  }
-
-  /** Exact brute-force bin-comparison count, computed analytically: for each
-    * window w, (#bins of E in w) * (#bins of I in w) summed over windows —
-    * identical to what a cross-product run would perform, without running it.
-    * This is the §5.3 speed-up denominator... numerator: the LSH run's
-    * [[SlimResult.comparisons]].
-    */
-  def bruteForceComparisons(recordsE: DataFrame, recordsI: DataFrame,
-                            cfg: SlimConfig): Long = {
-    val he = Histories.build(recordsE, cfg.level, cfg.windowSec)
-      .groupBy("win").agg(count(lit(1)).as("ne"))
-    val hi = Histories.build(recordsI, cfg.level, cfg.windowSec)
-      .groupBy("win").agg(count(lit(1)).as("ni"))
-    val row = he.join(hi, "win")
-      .agg(coalesce(sum(col("ne") * col("ni")), lit(0L))).first()
-    row.getLong(0)
   }
 }

@@ -199,15 +199,12 @@ object Experiments {
     */
   def slimScores(spark: SparkSession, sc: Scenario,
                  cfg: Slim.SlimConfig): Map[(Long, Long), Double] = {
-    val histE = Histories.build(sc.e, cfg.level, cfg.windowSec).cache()
-    val histI = Histories.build(sc.i, cfg.level, cfg.windowSec).cache()
-    val binsE = Histories.binsByWindow(histE, Histories.idf(histE, Histories.nEntities(histE)))
-    val binsI = Histories.binsByWindow(histI, Histories.idf(histI, Histories.nEntities(histI)))
-    val out = Similarity.scoreEdges(binsE, binsI, Slim.allPairsCandidates(sc.e, sc.i),
-      Histories.lengthNorm(histE, cfg.bParam), Histories.lengthNorm(histI, cfg.bParam),
-      cfg.scoreConfig)
+    val e = Slim.prepare(sc.e, cfg)
+    val i = Slim.prepare(sc.i, cfg)
+    val out = Similarity.scoreEdges(e.bins, i.bins, Slim.allPairsCandidates(sc.e, sc.i),
+      e.lens, i.lens, cfg.scoreConfig)
       .collect().map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
-    histE.unpersist(); histI.unpersist()
+    e.unpersist(); i.unpersist()
     out
   }
 

@@ -3,6 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{Grid, Histories}
+import repro.core.TestSupport.recordsDf
 import repro.mobility.MobilityGen
 
 /** DuckDB oracle check of ST-Link's co-occurrence counting join. */
@@ -48,7 +49,7 @@ class STLinkOracleSpec extends SparkSpec {
   }
 
   test("tumbling-window binning is consistent between ST-Link and SLIM histories") {
-    val rows = Histories.recordsDf(spark, Seq(
+    val rows = recordsDf(spark, Seq(
       (1L, 0L, 37.77, -122.42), (1L, 899L, 37.77, -122.42), (1L, 900L, 37.77, -122.42)))
     val bins = Histories.build(rows, Level, Win).collect()
     assert(bins.map(_.getLong(1)).toSet == Set(0L, 1L))

@@ -1,7 +1,8 @@
 package repro.baselines
 
 import repro.SparkSpec
-import repro.core.{Histories, Metrics}
+import repro.core.Metrics
+import repro.core.TestSupport.recordsDf
 import repro.mobility.MobilityGen
 
 class STLinkSpec extends SparkSpec {
@@ -48,10 +49,10 @@ class STLinkSpec extends SparkSpec {
 
   test("alibi tolerance: zero-tolerance drops cross-town pairs that co-occur by chance") {
     // u co-occurs with v in two cells but also has a distant same-window bin.
-    val e = Histories.recordsDf(spark,
+    val e = recordsDf(spark,
       (0 until 10).map(i => (1L, i * 900L + 10, 37.77, -122.42)) ++
         (0 until 10).map(i => (1L, i * 900L + 20, 37.78, -122.41)))
-    val i = Histories.recordsDf(spark,
+    val i = recordsDf(spark,
       (0 until 10).map(j => (2L, j * 900L + 400, 37.77, -122.42)) ++
         (0 until 10).map(j => (2L, j * 900L + 500, 37.78, -122.41)) ++
         (0 until 10).map(j => (2L, j * 900L + 600, 38.25, -121.70))) // ~80 km away
@@ -67,16 +68,16 @@ class STLinkSpec extends SparkSpec {
     // v1 and v2 both co-occur heavily with u.
     def trace(id: Long, offset: Long) =
       (0 until 12).map(i => (id, i * 900L + offset, 37.77, -122.42))
-    val e = Histories.recordsDf(spark, trace(1L, 10))
-    val i = Histories.recordsDf(spark, trace(101L, 400) ++ trace(102L, 500))
+    val e = recordsDf(spark, trace(1L, 10))
+    val i = recordsDf(spark, trace(101L, 400) ++ trace(102L, 500))
     val r = STLink.run(spark, e, i, STLink.Config(k = Some(2), l = Some(1)))
     assert(r.links.isEmpty, "ambiguous matches must be discarded")
     assert(r.scores.keySet == Set((1L, 101L), (1L, 102L)))
   }
 
   test("comparisons metric counts window record pairs (no blocking)") {
-    val e = Histories.recordsDf(spark, Seq((1L, 0L, 10.0, 10.0), (1L, 10L, 10.0, 10.0)))
-    val i = Histories.recordsDf(spark, Seq((2L, 20L, 10.0, 10.0), (2L, 1000L, 10.0, 10.0)))
+    val e = recordsDf(spark, Seq((1L, 0L, 10.0, 10.0), (1L, 10L, 10.0, 10.0)))
+    val i = recordsDf(spark, Seq((2L, 20L, 10.0, 10.0), (2L, 1000L, 10.0, 10.0)))
     val r = STLink.run(spark, e, i, STLink.Config(k = Some(1), l = Some(1)))
     assert(r.comparisons == 2 * 1 + 0) // window 0: 2x1; window 1: E absent
   }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
+import TestSupport.exhaustive
 
 /** Randomized properties over the pure core (seeded, deterministic). The
   * scalatest+scalacheck bridge is not available offline, so these use seeded
@@ -81,7 +82,7 @@ class CorePropertySpec extends AnyFunSuite {
       val m = Matching.greedy(edges)
       assert(m.map(_.u).distinct.size == m.size)
       assert(m.map(_.v).distinct.size == m.size)
-      assert(m.map(_.w).sum <= Matching.exhaustive(edges).map(_.w).sum + 1e-9)
+      assert(m.map(_.w).sum <= exhaustive(edges).map(_.w).sum + 1e-9)
     }
   }
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
+import TestSupport.signatureSimilarity
 
 /** Raw ScalaCheck properties (the scalatest bridge is unavailable offline,
   * so these run under ScalaCheck's own sbt test framework).
@@ -53,7 +54,7 @@ object CoreProps extends Properties("core") {
   property("lsh.signatureSimilarityBounded") =
     Prop.forAll(Gen.mapOf(Gen.zip(Gen.choose(0L, 20L), Gen.choose(0L, 5L))),
                 Gen.mapOf(Gen.zip(Gen.choose(0L, 20L), Gen.choose(0L, 5L)))) { (a, b) =>
-      val s = Lsh.signatureSimilarity(a, b, 21)
+      val s = signatureSimilarity(a, b, 21)
       s >= 0.0 && s <= 1.0
     }
 }

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.mobility.MobilityGen
+import TestSupport.recordsDf
 
 /** DataFrame history construction, checked against the DuckDB oracle. */
 class HistoriesSpec extends SparkSpec {
@@ -62,7 +63,7 @@ class HistoriesSpec extends SparkSpec {
   }
 
   test("idf: a bin shared by all entities has idf 0; unique bins have ln(n)") {
-    val rows = Histories.recordsDf(spark, Seq(
+    val rows = recordsDf(spark, Seq(
       (1L, 0L, 10.0, 10.0), (2L, 0L, 10.0, 10.0), (3L, 0L, 10.0, 10.0),
       (1L, 1000L, 20.0, 20.0)))
     val hist = Histories.build(rows, Level, WindowSec)
@@ -111,7 +112,7 @@ class HistoriesSpec extends SparkSpec {
   }
 
   test("windows respect the configured width") {
-    val rows = Histories.recordsDf(spark, Seq(
+    val rows = recordsDf(spark, Seq(
       (1L, 0L, 0.0, 0.0), (1L, 899L, 0.0, 0.0), (1L, 900L, 0.0, 0.0)))
     val wins = Histories.build(rows, Level, 900L).select("win").distinct().collect()
       .map(_.getLong(0)).sorted

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import TestSupport.signatureSimilarity
 
 /** Pure-math LSH tests: Lambert W, band sizing, signature similarity. */
 class LshMathSpec extends AnyFunSuite {
@@ -62,9 +63,9 @@ class LshMathSpec extends AnyFunSuite {
   test("signatureSimilarity counts aligned matches over signature length") {
     val a = Map(0L -> 10L, 1L -> 11L, 2L -> 12L)
     val b = Map(0L -> 10L, 1L -> 99L, 3L -> 12L)
-    assert(Lsh.signatureSimilarity(a, b, 4) == 0.25) // only position 0 matches
-    assert(Lsh.signatureSimilarity(a, a, 4) == 0.75) // 3 of 4 positions filled
-    assert(Lsh.signatureSimilarity(Map.empty, b, 4) == 0.0)
+    assert(signatureSimilarity(a, b, 4) == 0.25) // only position 0 matches
+    assert(signatureSimilarity(a, a, 4) == 0.75) // 3 of 4 positions filled
+    assert(signatureSimilarity(Map.empty, b, 4) == 0.0)
   }
 
   test("LshConfig validates its parameters") {

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.mobility.MobilityGen
+import TestSupport.recordsDf
 
 /** DataFrame LSH stages: signatures, banding, candidate generation. */
 class LshSparkSpec extends SparkSpec {
@@ -62,7 +63,7 @@ class LshSparkSpec extends SparkSpec {
   }
 
   test("an entity with no records in a query window has no signature row there") {
-    val rows = Histories.recordsDf(spark, Seq(
+    val rows = recordsDf(spark, Seq(
       (1L, 0L, 10.0, 10.0),                      // query window 0
       (1L, WindowSec * cfg.stepWindows * 3, 10.0, 10.0))) // query window 3
     val qs = Lsh.signatures(rows, cfg, WindowSec).select("qidx").collect()
@@ -71,7 +72,7 @@ class LshSparkSpec extends SparkSpec {
   }
 
   test("bandHashes: identical signatures collide on every band") {
-    val rows = Histories.recordsDf(spark,
+    val rows = recordsDf(spark,
       (0 to 7).flatMap(q => Seq(
         (1L, q * WindowSec * cfg.stepWindows, 10.0, 10.0),
         (2L, q * WindowSec * cfg.stepWindows, 10.0, 10.0))))
@@ -84,7 +85,7 @@ class LshSparkSpec extends SparkSpec {
   }
 
   test("bandHashes omits all-placeholder bands") {
-    val rows = Histories.recordsDf(spark, Seq(
+    val rows = recordsDf(spark, Seq(
       (1L, 0L, 10.0, 10.0))) // only query window 0
     val sig = Lsh.signatures(rows, cfg, WindowSec)
     val bands = Lsh.bandHashes(sig, qMin = 0, r = 2, numBuckets = 4096).collect()
@@ -93,7 +94,7 @@ class LshSparkSpec extends SparkSpec {
 
   test("candidates: co-located entities collide, far entities do not") {
     // Entities 1 and 2 share all dominating cells; 3 lives on another continent.
-    val rows = Histories.recordsDf(spark, (0 to 7).flatMap(q => Seq(
+    val rows = recordsDf(spark, (0 to 7).flatMap(q => Seq(
       (1L, q * WindowSec * cfg.stepWindows + 60, 10.0, 10.0),
       (2L, q * WindowSec * cfg.stepWindows + 120, 10.0, 10.0),
       (3L, q * WindowSec * cfg.stepWindows + 60, -30.0, 140.0))))

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import Matching._
 import scala.util.Random
+import TestSupport.exhaustive
 
 class MatchingSpec extends AnyFunSuite {
 

@@ -2,7 +2,9 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.exp.Experiments
 import repro.mobility.MobilityGen
+import TestSupport.recordsDf
 
 /** The DataFrame similarity join cross-checked against [[LocalReference]]. */
 class SimilarityPipelineSpec extends SparkSpec {
@@ -78,6 +80,23 @@ class SimilarityPipelineSpec extends SparkSpec {
       localScoreAll(collectRows(pair.e), collectRows(pair.i), cfg))
   }
 
+  test("Experiments.slimScores scores every window-sharing pair as LocalReference does") {
+    val pair = genPair(10, 60, 0.7)
+    val cfg = Slim.SlimConfig(level = Level, windowSec = WindowSec, bParam = BParam)
+    val scores = Experiments.slimScores(spark, Experiments.Scenario("small", pair), cfg)
+    val dsE = LocalReference.Dataset.fromRecords(collectRows(pair.e), Level, WindowSec, BParam)
+    val dsI = LocalReference.Dataset.fromRecords(collectRows(pair.i), Level, WindowSec, BParam)
+    val sharing = for {
+      (u, hu) <- dsE.histories.toSeq; (v, hv) <- dsI.histories.toSeq
+      if hu.keySet.exists(hv.contains)
+    } yield (u, v)
+    assert(scores.keySet == sharing.toSet)
+    for (((u, v), s) <- scores) {
+      val ref = LocalReference.score(dsE, dsI, u, v, cfg.scoreConfig, BParam)
+      assert(math.abs(s - ref) <= 1e-9, s"pair ($u, $v): slimScores=$s local=$ref")
+    }
+  }
+
   test("true pairs outscore impostors on generated data") {
     val pair = genPair(12, 80, 0.8)
     val cfg = Similarity.ScoreConfig(runawayKm = Proximity.runawayKm(WindowSec, 2.0))
@@ -97,8 +116,8 @@ class SimilarityPipelineSpec extends SparkSpec {
     val sf1 = (0 until 20).map(i => (1L, i * 900L + 10, 37.77 + (i % 3) * 0.01, -122.42))
     val sf2 = (0 until 20).map(i => (101L, i * 900L + 500, 37.77 + (i % 3) * 0.01, -122.42))
     val syd = (0 until 20).map(i => (102L, i * 900L + 500, -33.87, 151.21))
-    val e = Histories.recordsDf(spark, sf1)
-    val i = Histories.recordsDf(spark, sf2 ++ syd)
+    val e = recordsDf(spark, sf1)
+    val i = recordsDf(spark, sf2 ++ syd)
     val histE = Histories.build(e, Level, WindowSec)
     val histI = Histories.build(i, Level, WindowSec)
     val binsE = Histories.binsByWindow(histE, Histories.idf(histE, 1))
@@ -117,8 +136,8 @@ class SimilarityPipelineSpec extends SparkSpec {
   }
 
   test("comparisons column counts bin-pair distance computations") {
-    val e = Histories.recordsDf(spark, Seq((1L, 0L, 10.0, 10.0), (1L, 10L, 10.1, 10.0)))
-    val i = Histories.recordsDf(spark, Seq((2L, 20L, 10.0, 10.0), (2L, 30L, 10.2, 10.0),
+    val e = recordsDf(spark, Seq((1L, 0L, 10.0, 10.0), (1L, 10L, 10.1, 10.0)))
+    val i = recordsDf(spark, Seq((2L, 20L, 10.0, 10.0), (2L, 30L, 10.2, 10.0),
       (2L, 1000L, 10.0, 10.0)))
     val histE = Histories.build(e, Level, WindowSec)
     val histI = Histories.build(i, Level, WindowSec)

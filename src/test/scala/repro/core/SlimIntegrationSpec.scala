@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.mobility.MobilityGen
+import TestSupport.recordsDf
 
 /** End-to-end SLIM pipeline: does it actually link the planted entities? */
 class SlimIntegrationSpec extends SparkSpec {
@@ -75,10 +76,10 @@ class SlimIntegrationSpec extends SparkSpec {
   }
 
   test("degenerate input: no shared windows yields no links") {
-    val e = Histories.recordsDf(spark, Seq((1L, 0L, 10.0, 10.0), (1L, 900L, 10.0, 10.0),
+    val e = recordsDf(spark, Seq((1L, 0L, 10.0, 10.0), (1L, 900L, 10.0, 10.0),
       (1L, 1800L, 10.0, 10.0), (1L, 2700L, 10.0, 10.0), (1L, 3600L, 10.0, 10.0),
       (1L, 4500L, 10.0, 10.0)))
-    val i = Histories.recordsDf(spark, Seq((2L, 100000L, 10.0, 10.0), (2L, 100900L, 10.0, 10.0),
+    val i = recordsDf(spark, Seq((2L, 100000L, 10.0, 10.0), (2L, 100900L, 10.0, 10.0),
       (2L, 101800L, 10.0, 10.0), (2L, 102700L, 10.0, 10.0), (2L, 103600L, 10.0, 10.0),
       (2L, 104500L, 10.0, 10.0)))
     val r = Slim.link(spark, e, i, cfg)
@@ -99,6 +100,17 @@ class SlimIntegrationSpec extends SparkSpec {
   }
 
   test("bruteForceComparisons matches the brute-force run's counter") {
-    assert(Slim.bruteForceComparisons(pair.e, pair.i, cfg) == bf.comparisons)
+    // §5.3's brute-force cost, in-core: sum over windows of |E bins| * |I bins|.
+    def binsPerWindow(records: org.apache.spark.sql.DataFrame): Map[Long, Long] = {
+      val rows = records.select("id", "ts", "lat", "lon").collect()
+        .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getDouble(3))).toSeq
+      LocalReference.Dataset.fromRecords(rows, cfg.level, cfg.windowSec).histories.values
+        .toSeq.flatMap(_.iterator.map { case (win, cells) => win -> cells.size.toLong })
+        .groupMapReduce(_._1)(_._2)(_ + _)
+    }
+    val be = binsPerWindow(pair.e)
+    val bi = binsPerWindow(pair.i)
+    val expected = be.iterator.map { case (win, n) => n * bi.getOrElse(win, 0L) }.sum
+    assert(bf.comparisons == expected)
   }
 }

@@ -1,0 +1,40 @@
+package repro.core
+
+import org.apache.spark.sql.{DataFrame, SparkSession}
+
+/** Test-only helpers and oracles over the core types. */
+object TestSupport {
+
+  /** A location dataset `(id, ts, lat, lon)` from an in-memory record list. */
+  def recordsDf(spark: SparkSession, rows: Seq[(Long, Long, Double, Double)]): DataFrame = {
+    import spark.implicits._
+    rows.toDF("id", "ts", "lat", "lon")
+  }
+
+  /** Exact maximum-weight matching by exhaustive search — the oracle for
+    * [[Matching.greedy]] (exponential; callers keep graphs tiny).
+    */
+  def exhaustive(edges: Seq[Matching.Edge]): Seq[Matching.Edge] = {
+    def best(remaining: List[Matching.Edge], usedU: Set[Long],
+             usedV: Set[Long]): (Double, List[Matching.Edge]) =
+      remaining match {
+        case Nil => (0.0, Nil)
+        case e :: rest =>
+          val (skipW, skipM) = best(rest, usedU, usedV)
+          if (usedU(e.u) || usedV(e.v)) (skipW, skipM)
+          else {
+            val (takeW, takeM) = best(rest, usedU + e.u, usedV + e.v)
+            if (takeW + e.w > skipW) (takeW + e.w, e :: takeM) else (skipW, skipM)
+          }
+      }
+    best(edges.toList, Set.empty, Set.empty)._2
+  }
+
+  /** Signature similarity of two aligned signatures (matching dominating
+    * cells / signature length); the pipeline never materializes it.
+    */
+  def signatureSimilarity(a: Map[Long, Long], b: Map[Long, Long], sigLen: Int): Double = {
+    require(sigLen > 0)
+    a.count { case (q, c) => b.get(q).contains(c) }.toDouble / sigLen
+  }
+}
