@@ -53,12 +53,25 @@ object Histories {
     * `L(u) = (1-b) + b * |H_u| / avg|H|`. Output: `(id, nbins, lnorm)`.
     */
   def lengthNorm(hist: DataFrame, b: Double): DataFrame = {
-    require(b >= 0 && b <= 1, s"b=$b out of [0,1]")
-    val sizes = hist.groupBy("id").agg(count(lit(1)).as("nbins"))
-    val avg = sizes.agg(org.apache.spark.sql.functions.avg("nbins")).first().getDouble(0)
-    sizes.select(col("id"), col("nbins"),
-      (lit(1.0 - b) + lit(b) * col("nbins") / lit(avg)).as("lnorm"))
+    val sizes = historySizes(hist)
+    lengthNorm(sizes, b, sizes.agg(avg("nbins")).first().getDouble(0))
   }
+
+  /** Eq. 2's norm over `(id, nbins, ...)` rows from [[historySizes]], given
+    * the mean history length `avgBins`. Output: `(id, nbins, lnorm)`.
+    */
+  def lengthNorm(sizes: DataFrame, b: Double, avgBins: Double): DataFrame = {
+    require(b >= 0 && b <= 1, s"b=$b out of [0,1]")
+    sizes.select(col("id"), col("nbins"),
+      (lit(1.0 - b) + lit(b) * col("nbins") / lit(avgBins)).as("lnorm"))
+  }
+
+  /** History length |H_u| per entity, with the entity's first and last
+    * window: `(id, nbins, minWin, maxWin)`.
+    */
+  def historySizes(hist: DataFrame): DataFrame =
+    hist.groupBy("id").agg(count(lit(1)).as("nbins"), min("win").as("minWin"),
+      max("win").as("maxWin"))
 
   /** Bins of one entity per window with the per-bin idf attached and collected
     * into a list — the unit the per-window MNN/MFN scoring consumes.

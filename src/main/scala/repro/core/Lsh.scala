@@ -126,20 +126,4 @@ object Lsh {
     val bI = bandHashes(sigI, qMin, r, numBuckets).withColumnRenamed("id", "vid")
     bE.join(bI, Seq("band", "bucket")).select("uid", "vid").distinct()
   }
-
-  /** Full candidate generation from two record DataFrames: build signatures,
-    * size the bands from the global signature length, and emit candidates.
-    * Returns (candidates, signature length, bands, rows).
-    */
-  def candidatePairs(recordsE: DataFrame, recordsI: DataFrame, cfg: LshConfig,
-                     windowSec: Long): (DataFrame, Int, Int, Int) = {
-    val sigE = Lsh.signatures(recordsE, cfg, windowSec)
-    val sigI = Lsh.signatures(recordsI, cfg, windowSec)
-    val bothQ = sigE.select("qidx").union(sigI.select("qidx"))
-      .agg(min("qidx"), max("qidx")).first()
-    val (qMin, qMax) = (bothQ.getLong(0), bothQ.getLong(1))
-    val sigLen = (qMax - qMin + 1).toInt
-    val (b, r) = bandsFor(sigLen, cfg.t)
-    (candidates(sigE, sigI, qMin, r, cfg.numBuckets), sigLen, b, r)
-  }
 }

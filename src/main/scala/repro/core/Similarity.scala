@@ -127,20 +127,25 @@ object Similarity {
     WindowScore(raw, comparisons, alibis)
   }
 
-  /** DataFrame edge scoring: the candidate-pair similarity join.
+  /** DataFrame edge scoring: the similarity join on the shared window.
+    *
+    * With no `candidates` every entity pair that shares a window is scored —
+    * brute force, where the join on `win` is the only blocking. With
+    * candidates (LSH output) each candidate is joined to the windows of its
+    * `u` and then of its `v`, so only candidate pairs are ever scored.
     *
     * @param binsE      `(id, win, bins)` from [[Histories.binsByWindow]] (dataset E)
     * @param binsI      same for dataset I
-    * @param candidates `(uid, vid)` pairs to score (LSH output or cross product)
     * @param lensE      `(id, nbins, lnorm)` from [[Histories.lengthNorm]] (E)
     * @param lensI      same for I
-    * @return one row per candidate pair that shares at least one window:
+    * @param candidates `(uid, vid)` pairs to restrict scoring to, if any
+    * @return one row per (candidate) pair that shares at least one window:
     *         `(uid, vid, score, comparisons, alibis)`. The caller applies
     *         Alg. 1's "if S > 0" edge filter — the unfiltered rows carry the
     *         comparison counts (the §5 cost metric) and alibi counts.
     */
-  def scoreEdges(binsE: DataFrame, binsI: DataFrame, candidates: DataFrame,
-                 lensE: DataFrame, lensI: DataFrame, cfg: ScoreConfig): DataFrame = {
+  def scorePairs(binsE: DataFrame, binsI: DataFrame, lensE: DataFrame, lensI: DataFrame,
+                 cfg: ScoreConfig, candidates: Option[DataFrame] = None): DataFrame = {
     val scoreUdf = udf { (u: Seq[Row], v: Seq[Row]) =>
       val ub = u.map(r => Bin(r.getLong(0), r.getDouble(1))).toIndexedSeq
       val vb = v.map(r => Bin(r.getLong(0), r.getDouble(1))).toIndexedSeq
@@ -149,11 +154,12 @@ object Similarity {
     }
     val e = binsE.select(col("id").as("uid"), col("win"), col("bins").as("ubins"))
     val i = binsI.select(col("id").as("vid"), col("win"), col("bins").as("vbins"))
-    val perWindow = candidates
-      .join(e, Seq("uid"))
-      .join(i, Seq("vid", "win")) // blocking join: only shared windows survive
+    val shared = candidates match { // blocking join: only shared windows survive
+      case Some(c) => c.join(e, Seq("uid")).join(i, Seq("vid", "win"))
+      case None    => e.join(i, Seq("win"))
+    }
+    val aggregated = shared
       .withColumn("ws", scoreUdf(col("ubins"), col("vbins")))
-    val aggregated = perWindow
       .groupBy("uid", "vid")
       .agg(
         sum(col("ws._1")).as("raw"),
@@ -169,4 +175,11 @@ object Similarity {
       else aggregated.withColumn("score", col("raw"))
     scored.select("uid", "vid", "score", "comparisons", "alibis")
   }
+
+  /** [[scorePairs]] restricted to `candidates`, e.g.
+    * [[Slim.allPairsCandidates]] or LSH output.
+    */
+  def scoreEdges(binsE: DataFrame, binsI: DataFrame, candidates: DataFrame,
+                 lensE: DataFrame, lensI: DataFrame, cfg: ScoreConfig): DataFrame =
+    scorePairs(binsE, binsI, lensE, lensI, cfg, Some(candidates))
 }

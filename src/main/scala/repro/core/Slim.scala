@@ -7,9 +7,10 @@ import org.apache.spark.sql.functions._
   *
   * Stages, all DataFrame transformations until the per-edge reduction:
   *  1. mobility histories + idf + BM25 length norms per dataset ([[prepare]]);
-  *  2. candidate pairs — dominating-cell banding LSH, or the full cross
-  *     product for brute force;
-  *  3. candidate-pair similarity join with MNN/MFN window scoring;
+  *  2. candidate pairs from dominating-cell banding LSH; brute force has no
+  *     candidate list, since every pair sharing a window is scored;
+  *  3. similarity join on the shared window (restricted to the LSH
+  *     candidates, if any) with MNN/MFN window scoring, collected once;
   *  4. (driver) greedy maximum-weight bipartite matching;
   *  5. (driver) GMM stop-threshold over matched edge weights; links above the
   *     threshold are the output.
@@ -42,7 +43,9 @@ object Slim {
     * @param matched          full matching before thresholding
     * @param threshold        GMM stop threshold (-inf when degenerate)
     * @param gmm              the fitted mixture, when one was fitted
-    * @param nCandidates      candidate pairs entering the similarity join
+    * @param nCandidates      candidate pairs entering the similarity join:
+    *                         the LSH candidates, or for brute force nE·nI,
+    *                         counted from stage 1 and never materialized
     * @param comparisons      bin-pair distance computations performed (the
     *                         paper's "pairwise record comparisons" cost)
     * @param alibiEntityPairs scored pairs containing >= 1 alibi bin pair
@@ -62,33 +65,50 @@ object Slim {
 
   /** One dataset after stage 1, ready for the similarity join.
     *
-    * @param histories leaf bins from [[Histories.build]], cached until
-    *                  [[unpersist]]
-    * @param bins      idf-weighted bins per window from [[Histories.binsByWindow]]
-    * @param lens      BM25 length norms from [[Histories.lengthNorm]]
+    * @param histories  leaf bins from [[Histories.build]], cached until
+    *                   [[unpersist]]
+    * @param bins       idf-weighted bins per window from [[Histories.binsByWindow]]
+    * @param lens       BM25 length norms from [[Histories.lengthNorm]]
+    * @param nEntities  number of entities with at least one record
+    * @param meanLength mean history length avg|H| (bins per entity), Eq. 2's
+    *                   denominator
+    * @param minWin     first window any entity occupies
+    * @param maxWin     last window any entity occupies
     */
-  final case class Prepared(histories: DataFrame, bins: DataFrame, lens: DataFrame) {
+  final case class Prepared(histories: DataFrame, bins: DataFrame, lens: DataFrame,
+                            nEntities: Long, meanLength: Double, minWin: Long, maxWin: Long) {
     def unpersist(): Unit = histories.unpersist()
   }
 
   /** Stage 1 for one dataset: its histories, per-window bins carrying the
-    * dataset's own idf (Eq. 3), and its length norms (Eq. 2).
+    * dataset's own idf (Eq. 3), and its length norms (Eq. 2). One Spark
+    * action: a single aggregate over the per-entity history sizes gives the
+    * entity count, the mean history length and the window range.
     */
   def prepare(records: DataFrame, cfg: SlimConfig): Prepared = {
     val hist = Histories.build(records, cfg.level, cfg.windowSec).cache()
-    Prepared(hist,
-      Histories.binsByWindow(hist, Histories.idf(hist, Histories.nEntities(hist))),
-      Histories.lengthNorm(hist, cfg.bParam))
+    val sizes = Histories.historySizes(hist)
+    val st = sizes.agg(count(lit(1)), avg("nbins"), min("minWin"), max("maxWin")).first()
+    val bins = Histories.binsByWindow(hist, Histories.idf(hist, st.getLong(0)))
+    Prepared(hist, bins, Histories.lengthNorm(sizes, cfg.bParam, st.getDouble(1)),
+      st.getLong(0), st.getDouble(1), st.getLong(2), st.getLong(3))
   }
 
-  /** Cross product of the two entity id sets — brute-force candidates. */
+  /** Cross product of the two entity id sets: every pair brute force
+    * considers. [[link]] does not build it (the shared-window join scores the
+    * same pairs); it stays as a candidate list for [[Similarity.scoreEdges]].
+    */
   def allPairsCandidates(recordsE: DataFrame, recordsI: DataFrame): DataFrame = {
     val e = recordsE.select(col("id").as("uid")).distinct()
     val i = recordsI.select(col("id").as("vid")).distinct()
     e.crossJoin(i)
   }
 
-  /** Run SLIM over two location datasets `(id, ts, lat, lon)`. */
+  /** Run SLIM over two location datasets `(id, ts, lat, lon)`.
+    *
+    * Spark actions: one per dataset in [[prepare]], the count of the cached
+    * LSH candidates (LSH only), and one collect of the scored pairs.
+    */
   def link(spark: SparkSession, recordsE: DataFrame, recordsI: DataFrame,
            cfg: SlimConfig): SlimResult = {
     val t0 = System.nanoTime()
@@ -96,22 +116,22 @@ object Slim {
     val prepE = prepare(recordsE, cfg)
     val prepI = prepare(recordsI, cfg)
 
-    val candidates = cfg.lsh match {
-      case Some(l) => Lsh.candidatePairs(recordsE, recordsI, l, cfg.windowSec)._1
-      case None    => allPairsCandidates(recordsE, recordsI)
+    val lshCandidates = cfg.lsh.map { l =>
+      // qidx = floor(ts / (windowSec * step)) = floorDiv(win, step), so the
+      // aligned signature range comes from the windows stage 1 found.
+      val qMin = math.floorDiv(math.min(prepE.minWin, prepI.minWin), l.stepWindows.toLong)
+      val qMax = math.floorDiv(math.max(prepE.maxWin, prepI.maxWin), l.stepWindows.toLong)
+      val (_, r) = Lsh.bandsFor((qMax - qMin + 1).toInt, l.t)
+      Lsh.candidates(Lsh.signatures(recordsE, l, cfg.windowSec),
+        Lsh.signatures(recordsI, l, cfg.windowSec), qMin, r, l.numBuckets).cache()
     }
-    val cand = candidates.cache()
-    val nCandidates = cand.count()
+    val nCandidates = lshCandidates.fold(prepE.nEntities * prepI.nEntities)(_.count())
 
-    val scored = Similarity.scoreEdges(prepE.bins, prepI.bins, cand, prepE.lens, prepI.lens,
-      cfg.scoreConfig).cache()
-    val stats = scored.agg(
-      coalesce(sum("comparisons"), lit(0L)).as("comps"),
-      coalesce(sum(when(col("alibis") > 0, 1L).otherwise(0L)), lit(0L)).as("alibiPairs"),
-    ).first()
-
-    val edges = scored.filter(col("score") > 0)
-      .select("uid", "vid", "score").collect()
+    val rows = Similarity.scorePairs(prepE.bins, prepI.bins, prepE.lens, prepI.lens,
+      cfg.scoreConfig, lshCandidates).collect()
+    val comparisons = rows.iterator.map(_.getLong(3)).sum
+    val alibiEntityPairs = rows.count(_.getLong(4) > 0).toLong
+    val edges = rows.iterator.filter(_.getDouble(2) > 0)
       .map(r => Matching.Edge(r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq
 
     val matched = Matching.greedy(edges)
@@ -119,8 +139,8 @@ object Slim {
     val links = matched.filter(_.w >= threshold).map(e => (e.u, e.v, e.w))
 
     val elapsedMs = (System.nanoTime() - t0) / 1000000L
-    scored.unpersist(); cand.unpersist(); prepE.unpersist(); prepI.unpersist()
-    SlimResult(links, matched, threshold, gmm, nCandidates,
-      stats.getLong(0), stats.getLong(1), elapsedMs)
+    lshCandidates.foreach(_.unpersist()); prepE.unpersist(); prepI.unpersist()
+    SlimResult(links, matched, threshold, gmm, nCandidates, comparisons, alibiEntityPairs,
+      elapsedMs)
   }
 }

@@ -201,8 +201,7 @@ object Experiments {
                  cfg: Slim.SlimConfig): Map[(Long, Long), Double] = {
     val e = Slim.prepare(sc.e, cfg)
     val i = Slim.prepare(sc.i, cfg)
-    val out = Similarity.scoreEdges(e.bins, i.bins, Slim.allPairsCandidates(sc.e, sc.i),
-      e.lens, i.lens, cfg.scoreConfig)
+    val out = Similarity.scorePairs(e.bins, i.bins, e.lens, i.lens, cfg.scoreConfig)
       .collect().map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
     e.unpersist(); i.unpersist()
     out

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.mobility.MobilityGen
-import TestSupport.recordsDf
+import TestSupport.{candidatePairs, recordsDf}
 
 /** DataFrame LSH stages: signatures, banding, candidate generation. */
 class LshSparkSpec extends SparkSpec {
@@ -71,6 +71,25 @@ class LshSparkSpec extends SparkSpec {
     assert(qs.toSeq == Seq(0L, 3L))
   }
 
+  test("property: a signature's qidx is floorDiv of its history window by the step") {
+    // Slim.link sizes the bands from stage 1's window range on this identity.
+    val rnd = new scala.util.Random(20261017L)
+    for ((windowSec, step) <- Seq((900L, 48), (900L, 4), (21600L, 3), (7L, 13), (1L, 1))) {
+      val qSec = windowSec * step
+      val ts = Seq.fill(200)(rnd.nextLong() % 4000000000L) ++
+        Seq.fill(50)((rnd.nextInt(2000) - 1000) * qSec) ++ // exact multiples
+        Seq(0L, -1L, 1L, qSec, -qSec, qSec - 1, -qSec + 1, qSec + 1, -qSec - 1)
+      val rows = recordsDf(spark, ts.zipWithIndex.map { case (t, n) => (n.toLong, t, 10.0, 10.0) })
+      val win = Histories.build(rows, cfg.sigLevel, windowSec).select("id", "win")
+      val q = Lsh.signatures(rows, cfg.copy(stepWindows = step), windowSec).select("id", "qidx")
+      val got = win.join(q, "id").collect().map(r => (r.getLong(0), r.getLong(1), r.getLong(2)))
+      assert(got.length == ts.length)
+      for ((id, w, qidx) <- got)
+        assert(math.floorDiv(w, step.toLong) == qidx,
+          s"ts ${ts(id.toInt)} windowSec $windowSec step $step: win $w qidx $qidx")
+    }
+  }
+
   test("bandHashes: identical signatures collide on every band") {
     val rows = recordsDf(spark,
       (0 to 7).flatMap(q => Seq(
@@ -100,7 +119,7 @@ class LshSparkSpec extends SparkSpec {
       (3L, q * WindowSec * cfg.stepWindows + 60, -30.0, 140.0))))
     val e = rows.filter(col("id") === 1L)
     val i = rows.filter(col("id") =!= 1L).withColumn("id", col("id") + 100)
-    val (cand, sigLen, b, r) = Lsh.candidatePairs(e, i, cfg, WindowSec)
+    val (cand, sigLen, b, r) = candidatePairs(e, i, cfg, WindowSec)
     val pairs = cand.collect().map(x => (x.getLong(0), x.getLong(1))).toSet
     assert(sigLen == 8 && b >= 1 && r >= 1)
     assert(pairs.contains((1L, 102L)))
@@ -115,7 +134,7 @@ class LshSparkSpec extends SparkSpec {
     val pair = MobilityGen.samplePair(dense, n = 12, intersectRatio = 0.5,
       inclusionProb = 0.9)
     val denseCfg = cfg.copy(t = 0.5, stepWindows = 16)
-    val (cand, _, _, _) = Lsh.candidatePairs(pair.e, pair.i, denseCfg, WindowSec)
+    val (cand, _, _, _) = candidatePairs(pair.e, pair.i, denseCfg, WindowSec)
     val pairs = cand.collect().map(x => (x.getLong(0), x.getLong(1))).toSet
     val recalled = pair.truth.count { case (u, v) => pairs((u, v)) }
     assert(pair.truth.nonEmpty)
@@ -126,9 +145,9 @@ class LshSparkSpec extends SparkSpec {
   test("fewer buckets can only add candidates (hash collisions)") {
     val pair = MobilityGen.samplePair(records, n = 12, intersectRatio = 0.5,
       inclusionProb = 0.8)
-    val many = Lsh.candidatePairs(pair.e, pair.i, cfg.copy(numBuckets = 1 << 18), WindowSec)
+    val many = candidatePairs(pair.e, pair.i, cfg.copy(numBuckets = 1 << 18), WindowSec)
       ._1.count()
-    val few = Lsh.candidatePairs(pair.e, pair.i, cfg.copy(numBuckets = 8), WindowSec)
+    val few = candidatePairs(pair.e, pair.i, cfg.copy(numBuckets = 8), WindowSec)
       ._1.count()
     assert(few >= many, s"few=$few many=$many")
   }
@@ -136,9 +155,9 @@ class LshSparkSpec extends SparkSpec {
   test("lower similarity threshold t can only add candidates") {
     val pair = MobilityGen.samplePair(records, n = 12, intersectRatio = 0.5,
       inclusionProb = 0.8)
-    val strict = Lsh.candidatePairs(pair.e, pair.i, cfg.copy(t = 0.9), WindowSec)._1
+    val strict = candidatePairs(pair.e, pair.i, cfg.copy(t = 0.9), WindowSec)._1
       .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-    val loose = Lsh.candidatePairs(pair.e, pair.i, cfg.copy(t = 0.2), WindowSec)._1
+    val loose = candidatePairs(pair.e, pair.i, cfg.copy(t = 0.2), WindowSec)._1
       .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(loose.size >= strict.size)
   }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.exp.Experiments
@@ -13,19 +14,27 @@ class SimilarityPipelineSpec extends SparkSpec {
   private val WindowSec = 900L
   private val BParam = 0.5
 
-  private def scoreAll(recordsE: org.apache.spark.sql.DataFrame,
-                       recordsI: org.apache.spark.sql.DataFrame,
-                       cfg: Similarity.ScoreConfig): Map[(Long, Long), Double] = {
-    val histE = Histories.build(recordsE, Level, WindowSec).cache()
-    val histI = Histories.build(recordsI, Level, WindowSec).cache()
-    val binsE = Histories.binsByWindow(histE, Histories.idf(histE, Histories.nEntities(histE)))
-    val binsI = Histories.binsByWindow(histI, Histories.idf(histI, Histories.nEntities(histI)))
-    val lensE = Histories.lengthNorm(histE, BParam)
-    val lensI = Histories.lengthNorm(histI, BParam)
-    val cand = Slim.allPairsCandidates(recordsE, recordsI)
-    Similarity.scoreEdges(binsE, binsI, cand, lensE, lensI, cfg).collect()
-      .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
+  private val PrepCfg = Slim.SlimConfig(level = Level, windowSec = WindowSec, bParam = BParam)
+
+  /** `f` over both datasets after stage 1 ([[Slim.prepare]]). */
+  private def withPrepared[T](recordsE: DataFrame, recordsI: DataFrame)
+                             (f: (Slim.Prepared, Slim.Prepared) => T): T = {
+    val e = Slim.prepare(recordsE, PrepCfg)
+    val i = Slim.prepare(recordsI, PrepCfg)
+    try f(e, i) finally { e.unpersist(); i.unpersist() }
   }
+
+  /** Scored rows as `(uid, vid) -> (score, comparisons, alibis)`. */
+  private def scoredRows(df: DataFrame): Map[(Long, Long), (Double, Long, Long)] =
+    df.collect()
+      .map(r => ((r.getLong(0), r.getLong(1)), (r.getDouble(2), r.getLong(3), r.getLong(4)))).toMap
+
+  private def scoreAll(recordsE: DataFrame, recordsI: DataFrame,
+                       cfg: Similarity.ScoreConfig): Map[(Long, Long), Double] =
+    withPrepared(recordsE, recordsI) { (e, i) =>
+      scoredRows(Similarity.scoreEdges(e.bins, i.bins,
+        Slim.allPairsCandidates(recordsE, recordsI), e.lens, i.lens, cfg)).map { case (k, v) => k -> v._1 }
+    }
 
   private def localScoreAll(rowsE: Seq[(Long, Long, Double, Double)],
                             rowsI: Seq[(Long, Long, Double, Double)],
@@ -57,7 +66,7 @@ class SimilarityPipelineSpec extends SparkSpec {
     MobilityGen.samplePair(ground, n = n, intersectRatio = 0.5, inclusionProb = p)
   }
 
-  private def collectRows(df: org.apache.spark.sql.DataFrame) =
+  private def collectRows(df: DataFrame) =
     df.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getDouble(3))).toSeq
 
   for (pairing <- Seq(Similarity.MnnWithMfn, Similarity.MnnOnly, Similarity.AllPairs)) {
@@ -68,6 +77,26 @@ class SimilarityPipelineSpec extends SparkSpec {
       assertAgree(
         scoreAll(pair.e, pair.i, cfg),
         localScoreAll(collectRows(pair.e), collectRows(pair.i), cfg))
+    }
+  }
+
+  for (pairing <- Seq(Similarity.MnnWithMfn, Similarity.MnnOnly, Similarity.AllPairs)) {
+    test(s"shared-window scoring equals scoreEdges over all pairs ($pairing)") {
+      val pair = genPair(10, 60, 0.7)
+      val cfg = Similarity.ScoreConfig(
+        runawayKm = Proximity.runawayKm(WindowSec, 2.0), pairing = pairing)
+      val (shared, viaCandidates) = withPrepared(pair.e, pair.i) { (e, i) =>
+        (scoredRows(Similarity.scorePairs(e.bins, i.bins, e.lens, i.lens, cfg)),
+          scoredRows(Similarity.scoreEdges(e.bins, i.bins,
+            Slim.allPairsCandidates(pair.e, pair.i), e.lens, i.lens, cfg)))
+      }
+      assert(shared.nonEmpty)
+      assert(shared.keySet == viaCandidates.keySet)
+      for ((k, (s, comps, alibis)) <- shared) {
+        val (s0, comps0, alibis0) = viaCandidates(k)
+        assert(math.abs(s - s0) <= 1e-9, s"pair $k: shared=$s candidates=$s0")
+        assert(comps == comps0 && alibis == alibis0, s"pair $k counters")
+      }
     }
   }
 

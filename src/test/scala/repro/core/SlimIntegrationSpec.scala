@@ -14,6 +14,9 @@ class SlimIntegrationSpec extends SparkSpec {
   private val cfg = Slim.SlimConfig(level = 14, windowSec = 900)
 
   private lazy val bf = Slim.link(spark, pair.e, pair.i, cfg)
+  private val lshCfg = cfg.copy(lsh = Some(Lsh.LshConfig(t = 0.5, sigLevel = 14,
+    stepWindows = 8, numBuckets = 4096)))
+  private lazy val lsh = Slim.link(spark, pair.e, pair.i, lshCfg)
 
   test("brute-force SLIM recovers the planted linkage with high F1") {
     val m = Metrics.prf(bf.links.map(l => (l._1, l._2)), pair.truth)
@@ -47,15 +50,17 @@ class SlimIntegrationSpec extends SparkSpec {
   }
 
   test("LSH SLIM preserves most of the brute-force F1 with fewer comparisons") {
-    val lshCfg = cfg.copy(lsh = Some(Lsh.LshConfig(t = 0.5, sigLevel = 14,
-      stepWindows = 8, numBuckets = 4096)))
-    val lsh = Slim.link(spark, pair.e, pair.i, lshCfg)
     val bfF1 = Metrics.prf(bf.links.map(l => (l._1, l._2)), pair.truth).f1
     val lshF1 = Metrics.prf(lsh.links.map(l => (l._1, l._2)), pair.truth).f1
     assert(lsh.nCandidates < bf.nCandidates,
       s"LSH should prune candidates: ${lsh.nCandidates} vs ${bf.nCandidates}")
     assert(lsh.comparisons < bf.comparisons)
     assert(lshF1 >= 0.6 * bfF1, s"relative F1 ${lshF1 / bfF1}")
+  }
+
+  test("LSH candidates from stage 1's window range equal those from the signatures' range") {
+    val fromSignatures = TestSupport.candidatePairs(pair.e, pair.i, lshCfg.lsh.get, cfg.windowSec)
+    assert(lsh.nCandidates == fromSignatures._1.count())
   }
 
   test("ablations change the scores as designed") {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{max, min}
 
 /** Test-only helpers and oracles over the core types. */
 object TestSupport {
@@ -36,5 +37,22 @@ object TestSupport {
   def signatureSimilarity(a: Map[Long, Long], b: Map[Long, Long], sigLen: Int): Double = {
     require(sigLen > 0)
     a.count { case (q, c) => b.get(q).contains(c) }.toDouble / sigLen
+  }
+
+  /** LSH candidates from two record DataFrames with the band sizes taken from
+    * the signatures' own query-index range (one extra Spark job; `Slim.link`
+    * takes the range from stage 1 instead).
+    * Returns (candidates, signature length, bands, rows).
+    */
+  def candidatePairs(recordsE: DataFrame, recordsI: DataFrame, cfg: Lsh.LshConfig,
+                     windowSec: Long): (DataFrame, Int, Int, Int) = {
+    val sigE = Lsh.signatures(recordsE, cfg, windowSec)
+    val sigI = Lsh.signatures(recordsI, cfg, windowSec)
+    val bothQ = sigE.select("qidx").union(sigI.select("qidx"))
+      .agg(min("qidx"), max("qidx")).first()
+    val (qMin, qMax) = (bothQ.getLong(0), bothQ.getLong(1))
+    val sigLen = (qMax - qMin + 1).toInt
+    val (b, r) = Lsh.bandsFor(sigLen, cfg.t)
+    (Lsh.candidates(sigE, sigI, qMin, r, cfg.numBuckets), sigLen, b, r)
   }
 }
