@@ -1,12 +1,17 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+
+import scala.jdk.CollectionConverters._
 
 /** End-to-end SLIM pipeline (paper Alg. 1 + §3.2 + §4).
   *
   * Stages, all DataFrame transformations until the per-edge reduction:
-  *  1. mobility histories + idf + BM25 length norms per dataset ([[prepare]]);
+  *  1. mobility histories + idf + BM25 length norms per dataset ([[prepare]]):
+  *     one shuffle partitions the histories by window, which idf, the bins
+  *     and the stage-3 join reuse; one collect of the per-entity history
+  *     sizes (driver memory O(nE)) gives the counts and the norms;
   *  2. candidate pairs from dominating-cell banding LSH; brute force has no
   *     candidate list, since every pair sharing a window is scored;
   *  3. similarity join on the shared window (restricted to the LSH
@@ -65,15 +70,21 @@ object Slim {
 
   /** One dataset after stage 1, ready for the similarity join.
     *
-    * @param histories  leaf bins from [[Histories.build]], cached until
-    *                   [[unpersist]]
-    * @param bins       idf-weighted bins per window from [[Histories.binsByWindow]]
-    * @param lens       BM25 length norms from [[Histories.lengthNorm]]
-    * @param nEntities  number of entities with at least one record
+    * @param histories  leaf bins from [[Histories.build]], partitioned by
+    *                   window and cached until [[unpersist]]
+    * @param bins       idf-weighted bins per window from
+    *                   [[Histories.binsByWindow]], derived from `histories`
+    *                   within its window partitions
+    * @param lens       BM25 length norms from [[Histories.lengthNorm]], over a
+    *                   local DataFrame of the collected history sizes
+    * @param nEntities  number of entities with at least one record (0 for an
+    *                   empty dataset)
     * @param meanLength mean history length avg|H| (bins per entity), Eq. 2's
-    *                   denominator
-    * @param minWin     first window any entity occupies
-    * @param maxWin     last window any entity occupies
+    *                   denominator; 0 for an empty dataset
+    * @param minWin     first window any entity occupies (Long.MaxValue when
+    *                   empty)
+    * @param maxWin     last window any entity occupies (Long.MinValue when
+    *                   empty)
     */
   final case class Prepared(histories: DataFrame, bins: DataFrame, lens: DataFrame,
                             nEntities: Long, meanLength: Double, minWin: Long, maxWin: Long) {
@@ -82,16 +93,21 @@ object Slim {
 
   /** Stage 1 for one dataset: its histories, per-window bins carrying the
     * dataset's own idf (Eq. 3), and its length norms (Eq. 2). One Spark
-    * action: a single aggregate over the per-entity history sizes gives the
-    * entity count, the mean history length and the window range.
+    * action: a collect of the per-entity history sizes
+    * `(id, nbins, minWin, maxWin)`, from which the driver derives the entity
+    * count, the mean history length and the window range. Driver memory is
+    * O(nE).
     */
   def prepare(records: DataFrame, cfg: SlimConfig): Prepared = {
     val hist = Histories.build(records, cfg.level, cfg.windowSec).cache()
-    val sizes = Histories.historySizes(hist)
-    val st = sizes.agg(count(lit(1)), avg("nbins"), min("minWin"), max("maxWin")).first()
-    val bins = Histories.binsByWindow(hist, Histories.idf(hist, st.getLong(0)))
-    Prepared(hist, bins, Histories.lengthNorm(sizes, cfg.bParam, st.getDouble(1)),
-      st.getLong(0), st.getDouble(1), st.getLong(2), st.getLong(3))
+    val sizesDf = Histories.historySizes(hist)
+    val sizes = sizesDf.collect()
+    val n = sizes.length.toLong
+    val mean = if (n == 0) 0.0 else sizes.map(_.getLong(1)).sum.toDouble / n
+    val local = hist.sparkSession.createDataFrame(sizes.toSeq.asJava, sizesDf.schema)
+    Prepared(hist, Histories.binsByWindow(hist, n), Histories.lengthNorm(local, cfg.bParam, mean),
+      n, mean, sizes.map(_.getLong(2)).minOption.getOrElse(Long.MaxValue),
+      sizes.map(_.getLong(3)).maxOption.getOrElse(Long.MinValue))
   }
 
   /** Cross product of the two entity id sets: every pair brute force
@@ -107,7 +123,9 @@ object Slim {
   /** Run SLIM over two location datasets `(id, ts, lat, lon)`.
     *
     * Spark actions: one per dataset in [[prepare]], the count of the cached
-    * LSH candidates (LSH only), and one collect of the scored pairs.
+    * LSH candidates (LSH only), and one collect of the scored pairs. When a
+    * side is empty there is no pair to score: stages 2–3 are skipped and the
+    * result has no candidates, comparisons, matches or links.
     */
   def link(spark: SparkSession, recordsE: DataFrame, recordsI: DataFrame,
            cfg: SlimConfig): SlimResult = {
@@ -115,8 +133,9 @@ object Slim {
 
     val prepE = prepare(recordsE, cfg)
     val prepI = prepare(recordsI, cfg)
+    val bothSides = prepE.nEntities > 0 && prepI.nEntities > 0 // else no pair to score
 
-    val lshCandidates = cfg.lsh.map { l =>
+    val lshCandidates = cfg.lsh.filter(_ => bothSides).map { l =>
       // qidx = floor(ts / (windowSec * step)) = floorDiv(win, step), so the
       // aligned signature range comes from the windows stage 1 found.
       val qMin = math.floorDiv(math.min(prepE.minWin, prepI.minWin), l.stepWindows.toLong)
@@ -127,8 +146,8 @@ object Slim {
     }
     val nCandidates = lshCandidates.fold(prepE.nEntities * prepI.nEntities)(_.count())
 
-    val rows = Similarity.scorePairs(prepE.bins, prepI.bins, prepE.lens, prepI.lens,
-      cfg.scoreConfig, lshCandidates).collect()
+    val rows = if (!bothSides) Array.empty[Row] else Similarity.scorePairs(prepE.bins,
+      prepI.bins, prepE.lens, prepI.lens, cfg.scoreConfig, lshCandidates).collect()
     val comparisons = rows.iterator.map(_.getLong(3)).sum
     val alibiEntityPairs = rows.count(_.getLong(4) > 0).toLong
     val edges = rows.iterator.filter(_.getDouble(2) > 0)

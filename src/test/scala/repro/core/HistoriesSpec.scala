@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.mobility.MobilityGen
@@ -109,6 +110,34 @@ class HistoriesSpec extends SparkSpec {
       .join(Histories.idf(hist, n), Seq("win", "cell"))
       .filter(abs(col("gotIdf") - col("idf")) > 1e-9)
     assert(joined.count() == 0)
+  }
+
+  test("Slim.prepare's stage 1 equals the reference idf, bins and norms") {
+    val cfg = Slim.SlimConfig(level = Level, windowSec = WindowSec)
+    val prep = Slim.prepare(records, cfg)
+    val hist = Histories.build(records, Level, WindowSec).cache()
+    try {
+      def cellIdf(bins: DataFrame): Map[(Long, Long), Map[Long, Double]] =
+        bins.collect().map(r => (r.getLong(0), r.getLong(1)) ->
+          r.getSeq[Row](2).map(b => b.getLong(0) -> b.getDouble(1)).toMap).toMap
+      val got = cellIdf(prep.bins)
+      val want = cellIdf(Histories.binsByWindow(hist, Histories.idf(hist, Histories.nEntities(hist))))
+      assert(got.keySet == want.keySet)
+      for ((k, cells) <- got) {
+        assert(cells.keySet == want(k).keySet, s"cells of $k")
+        for ((c, v) <- cells) assert(math.abs(v - want(k)(c)) <= 1e-12, s"idf of $k cell $c")
+      }
+
+      def lens(df: DataFrame) = df.select("id", "nbins", "lnorm").collect()
+        .map(r => r.getLong(0) -> (r.getLong(1), r.getDouble(2))).toMap
+      assert(lens(prep.lens) == lens(Histories.lengthNorm(hist, cfg.bParam)))
+
+      val st = Histories.historySizes(hist)
+        .agg(count(lit(1)), avg("nbins"), min("minWin"), max("maxWin")).first()
+      assert(prep.nEntities == st.getLong(0))
+      assert(prep.meanLength == st.getDouble(1))
+      assert(prep.minWin == st.getLong(2) && prep.maxWin == st.getLong(3))
+    } finally { prep.unpersist(); hist.unpersist() }
   }
 
   test("windows respect the configured width") {

@@ -1,6 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.expressions.Expression
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.exp.Experiments
@@ -98,6 +101,26 @@ class SimilarityPipelineSpec extends SparkSpec {
         assert(comps == comps0 && alibis == alibis0, s"pair $k counters")
       }
     }
+  }
+
+  test("brute-force scoring adds no shuffle keyed on the window") {
+    // Stage 1 partitions the histories by window; idf, the bins and the
+    // shared-window join must all reuse that partitioning.
+    val pair = genPair(8, 50, 0.7)
+    val cfg = Similarity.ScoreConfig(runawayKm = Proximity.runawayKm(WindowSec, 2.0))
+    val shuffleKeys = withPrepared(pair.e, pair.i) { (e, i) =>
+      val scored = Similarity.scorePairs(e.bins, i.bins, e.lens, i.lens, cfg)
+      assert(scored.collect().nonEmpty)
+      object Plan extends AdaptiveSparkPlanHelper
+      Plan.collect(scored.queryExecution.executedPlan) {
+        case s: ShuffleExchangeExec => s.outputPartitioning match {
+          case p: Expression => p.references.map(_.name).toSet
+          case _             => Set.empty[String]
+        }
+      }
+    }
+    assert(shuffleKeys.nonEmpty, "the per-pair aggregation shuffles")
+    assert(!shuffleKeys.exists(_.contains("win")), s"shuffle keys: $shuffleKeys")
   }
 
   test("scoreEdges equals LocalReference without idf and norm") {

@@ -91,6 +91,18 @@ class SlimIntegrationSpec extends SparkSpec {
     assert(r.links.isEmpty && r.comparisons == 0)
   }
 
+  for ((path, c) <- Seq("brute force" -> cfg, "LSH" -> lshCfg); emptySide <- Seq("E", "I")) {
+    test(s"degenerate input: an empty $emptySide yields an empty result ($path)") {
+      val some = recordsDf(spark, Seq((1L, 0L, 10.0, 10.0), (1L, 900L, 10.0, 10.0)))
+      val none = recordsDf(spark, Seq.empty)
+      val r = if (emptySide == "E") Slim.link(spark, none, some, c) else Slim.link(spark, some, none, c)
+      assert(r.links.isEmpty && r.matched.isEmpty)
+      assert(r.nCandidates == 0 && r.comparisons == 0)
+      val (threshold, gmm) = Gmm.stopThresholdWithFit(Array.empty)
+      assert(r.threshold == threshold && r.gmm == gmm)
+    }
+  }
+
   test("self-linkage sanity: the full matching at intersection 1.0 is near-perfect") {
     // At intersection ratio 1.0 every matched edge should be a true link.
     // The GMM stop threshold is *not* applied here: with no false-link
