@@ -102,8 +102,15 @@ object Grid {
     */
   def minDistanceKm(a: Long, b: Long): Double = {
     if (a == b) return 0.0
-    val (aLa0, aLa1, aLo0, aLo1) = bounds(a)
-    val (bLa0, bLa1, bLo0, bLo1) = bounds(b)
+    // bounds(a) and bounds(b), without the tuples: this runs once per
+    // bin pair of every shared window.
+    val aN = 1 << levelOf(a); val bN = 1 << levelOf(b)
+    val aLatStep = 180.0 / aN; val aLonStep = 360.0 / aN
+    val bLatStep = 180.0 / bN; val bLonStep = 360.0 / bN
+    val aLa0 = -90.0 + yOf(a) * aLatStep; val aLa1 = aLa0 + aLatStep
+    val aLo0 = -180.0 + xOf(a) * aLonStep; val aLo1 = aLo0 + aLonStep
+    val bLa0 = -90.0 + yOf(b) * bLatStep; val bLa1 = bLa0 + bLatStep
+    val bLo0 = -180.0 + xOf(b) * bLonStep; val bLo1 = bLo0 + bLonStep
     // Latitude gap in degrees (0 when the intervals overlap).
     val dLat =
       if (aLa1 < bLa0) bLa0 - aLa1
@@ -118,7 +125,8 @@ object Grid {
         math.min(eastGap, westGap)
       }
     if (dLat == 0.0 && dLon == 0.0) return 0.0
-    val phiMax = Seq(aLa0, aLa1, bLa0, bLa1).map(math.abs).max
+    val phiMax = math.max(math.max(math.abs(aLa0), math.abs(aLa1)),
+      math.max(math.abs(bLa0), math.abs(bLa1)))
     val sLat = math.sin(math.toRadians(dLat) / 2)
     val sLon = math.sin(math.toRadians(math.min(dLon, 180.0)) / 2)
     val cosPhi = math.cos(math.toRadians(math.min(phiMax, 90.0)))

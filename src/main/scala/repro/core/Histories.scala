@@ -1,8 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.expressions.{UserDefinedFunction, Window}
+import org.apache.spark.sql.expressions.UserDefinedFunction
 
 /** Mobility history construction (paper §2.3) as DataFrame transformations.
   *
@@ -27,12 +27,13 @@ object Histories {
     *
     * The output is hash-partitioned by `win` (into
     * `spark.sql.shuffle.partitions` partitions). Everything SLIM derives from
-    * the histories is keyed by a superset of the window: the idf per
-    * `(win, cell)`, the bins per `(id, win)` and the shared-window join on
-    * `win`. So one shuffle here feeds all of them, and a cached copy keeps the
-    * partitioning (Spark does not re-plan a cached plan's output partitioning
-    * by default). Correctness never depends on it: without it Spark plans the
-    * exchanges back.
+    * the histories per window is keyed by the window: the idf per
+    * `(win, cell)` and the stage-3 cogroup on `win`
+    * ([[Similarity.scoreWindows]]). So one shuffle here feeds both datasets'
+    * windows to the scorer, and a cached copy keeps the partitioning (Spark
+    * does not re-plan a cached plan's output partitioning by default).
+    * Correctness never depends on it: without it Spark plans the exchanges
+    * back.
     */
   def build(records: DataFrame, level: Int, windowSec: Long): DataFrame = {
     require(windowSec > 0, "windowSec must be positive")
@@ -49,20 +50,16 @@ object Histories {
 
   /** Inverse document frequency of each time-location bin (paper Eq. 3):
     * `idf(e) = ln(|U| / |{u : e in H_u}|)` over the given history set.
-    * Output: `(win, cell, idf)`.
+    * Counting rows gives `|{u : e in H_u}|` because histories hold one row
+    * per (id, win, cell). Output: `(win, cell, idf)`.
     */
   def idf(hist: DataFrame, nEntities: Long): DataFrame = {
     require(nEntities > 0, "need a positive entity count")
     hist
       .groupBy("win", "cell")
       .agg(count(lit(1)).as("df"))
-      .select(col("win"), col("cell"), idfOf(nEntities, col("df")).as("idf"))
+      .select(col("win"), col("cell"), log(lit(nEntities.toDouble) / col("df")).as("idf"))
   }
-
-  /** Eq. 3 from a bin's document frequency `df`. Counting rows gives
-    * `|{u : e in H_u}|` because histories hold one row per (id, win, cell).
-    */
-  private def idfOf(nEntities: Long, df: Column): Column = log(lit(nEntities.toDouble) / df)
 
   /** BM25-style history length normalization (paper Eq. 2):
     * `L(u) = (1-b) + b * |H_u| / avg|H|`. Output: `(id, nbins, lnorm)`.
@@ -89,22 +86,12 @@ object Histories {
       max("win").as("maxWin"))
 
   /** Bins of one entity per window with the per-bin idf attached and collected
-    * into a list — the unit the per-window MNN/MFN scoring consumes.
-    * Output: `(id, win, bins: array<struct<cell:long, idf:double>>)`.
+    * into a list — the unit [[Similarity.scoreEdges]], the reference scoring,
+    * consumes. Output: `(id, win, bins: array<struct<cell:long, idf:double>>)`.
     */
   def binsByWindow(hist: DataFrame, idfDf: DataFrame): DataFrame =
-    collectBins(hist.join(idfDf, Seq("win", "cell")))
-
-  /** [[binsByWindow]] with the idf of [[idf]]`(hist, nEntities)` counted over
-    * `(win, cell)` in place, with no idf table to join: on histories from
-    * [[build]] both groupings run within the window partitions.
-    */
-  def binsByWindow(hist: DataFrame, nEntities: Long): DataFrame =
-    collectBins(hist.withColumn("idf",
-      idfOf(nEntities, count(lit(1)).over(Window.partitionBy("win", "cell")))))
-
-  private def collectBins(withIdf: DataFrame): DataFrame =
-    withIdf.groupBy("id", "win").agg(collect_list(struct(col("cell"), col("idf"))).as("bins"))
+    hist.join(idfDf, Seq("win", "cell"))
+      .groupBy("id", "win").agg(collect_list(struct(col("cell"), col("idf"))).as("bins"))
 
   /** Convenience: number of distinct entities in a history set. */
   def nEntities(hist: DataFrame): Long = hist.select("id").distinct().count()

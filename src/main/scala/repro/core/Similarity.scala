@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
@@ -61,91 +62,274 @@ object Similarity {
     */
   final case class WindowScore(raw: Double, comparisons: Long, alibiPairs: Long)
 
-  /** Greedy mutual pairing. Returns (indexU, indexV, distanceKm) triples.
-    * `nearest = true` picks globally closest pairs first (N); false picks the
-    * furthest first (N'). Ties break on (cellU, cellV) for determinism.
+  /** One scored entity pair: its normalized score (Eq. 2) and its cost
+    * counters summed over the shared windows.
     */
-  def mutualPairs(us: IndexedSeq[Long], vs: IndexedSeq[Long], nearest: Boolean): Seq[(Int, Int, Double)] = {
-    if (us.isEmpty || vs.isEmpty) return Nil
-    val all = mutable.ArrayBuffer.empty[(Double, Int, Int)]
-    var i = 0
-    while (i < us.length) {
-      var j = 0
-      while (j < vs.length) {
-        all += ((Grid.minDistanceKm(us(i), vs(j)), i, j)); j += 1
+  final case class PairScore(uid: Long, vid: Long, score: Double, comparisons: Long, alibis: Long)
+
+  /** Alg. 1 for one entity pair in one shared window, on primitive arrays.
+    *
+    * [[score]] pairs the bins `u = uCells(uFrom until uFrom + nu)` with
+    * `v = vCells(vFrom until vFrom + nv)` and leaves the unnormalized sum in
+    * [[raw]] and the counted negative-proximity pairs in [[alibis]]; the
+    * comparisons are `nu * nv`. The cell distances are computed once into an
+    * array; MNN (and MFN) take pairs greedily in an index sort of that array
+    * ordered by `(d, cellU, cellV)` (`-d` for MFN), then by position, so
+    * equal keys keep the order of the input. The MFN pass is skipped when no
+    * pair is beyond R: it only adds negative proximities.
+    *
+    * The scratch arrays grow to the largest pair seen and are reused, so a
+    * warm call allocates nothing. Not thread-safe: one kernel per task.
+    */
+  final class Kernel(cfg: ScoreConfig) {
+    /** Unnormalized score of the last [[score]] call. */
+    var raw = 0.0
+    /** Counted pairs with negative proximity in the last [[score]] call. */
+    var alibis = 0L
+
+    private var dist = new Array[Double](16)
+    private var order = new Array[Int](16)
+    private var tmp = new Array[Int](16)
+    private var counted = new Array[Boolean](16)
+    private var usedU = new Array[Boolean](4)
+    private var usedV = new Array[Boolean](4)
+    // The current pair, read by the passes and the sort's comparison.
+    private var uc: Array[Long] = _
+    private var ui: Array[Double] = _
+    private var vc: Array[Long] = _
+    private var vi: Array[Double] = _
+    private var uFrom, vFrom, nv = 0
+    private var nearest = true
+
+    def score(uCells: Array[Long], uIdf: Array[Double], uFrom: Int, nu: Int,
+              vCells: Array[Long], vIdf: Array[Double], vFrom: Int, nv: Int): Unit = {
+      raw = 0.0; alibis = 0L
+      if (nu == 0 || nv == 0) return
+      uc = uCells; ui = uIdf; vc = vCells; vi = vIdf
+      this.uFrom = uFrom; this.vFrom = vFrom; this.nv = nv
+      val m = nu * nv
+      if (dist.length < m) {
+        val cap = math.max(m, 2 * dist.length)
+        dist = new Array[Double](cap); order = new Array[Int](cap)
+        tmp = new Array[Int](cap); counted = new Array[Boolean](cap)
       }
-      i += 1
+      var maxD = 0.0
+      var a = 0
+      while (a < nu) {
+        val cu = uc(uFrom + a)
+        var b = 0
+        while (b < nv) {
+          val d = Grid.minDistanceKm(cu, vc(vFrom + b))
+          dist(a * nv + b) = d
+          if (d > maxD) maxD = d
+          b += 1
+        }
+        a += 1
+      }
+      cfg.pairing match {
+        case AllPairs =>
+          var k = 0
+          while (k < m) {
+            val p = prox(dist(k))
+            raw += p * weight(k / nv, k % nv)
+            if (p < 0) alibis += 1
+            k += 1
+          }
+        case MnnOnly | MnnWithMfn =>
+          if (usedU.length < nu) usedU = new Array[Boolean](math.max(nu, 2 * usedU.length))
+          if (usedV.length < nv) usedV = new Array[Boolean](math.max(nv, 2 * usedV.length))
+          java.util.Arrays.fill(counted, 0, m, false)
+          greedy(m, nu, mfn = false)
+          if (cfg.pairing == MnnWithMfn && prox(maxD) < 0) greedy(m, nu, mfn = true)
+      }
     }
-    val sorted = all.sortBy { case (d, a, b) =>
-      (if (nearest) d else -d, us(a), vs(b))
+
+    private def prox(d: Double): Double = Proximity.proximity(d, cfg.runawayKm, cfg.floor)
+
+    private def weight(a: Int, b: Int): Double =
+      if (cfg.useIdf) math.min(ui(uFrom + a), vi(vFrom + b)) else 1.0
+
+    /** One greedy pairing pass: MNN counts every pair it takes; MFN adds
+      * only the negative pairs MNN did not count (Alg. 1).
+      */
+    private def greedy(m: Int, nu: Int, mfn: Boolean): Unit = {
+      nearest = !mfn
+      sortOrder(m)
+      java.util.Arrays.fill(usedU, 0, nu, false)
+      java.util.Arrays.fill(usedV, 0, nv, false)
+      val target = math.min(nu, nv)
+      var taken = 0; var x = 0
+      while (taken < target && x < m) {
+        val k = order(x)
+        val a = k / nv; val b = k - a * nv
+        if (!usedU(a) && !usedV(b)) {
+          usedU(a) = true; usedV(b) = true; taken += 1
+          val p = prox(dist(k))
+          if (!mfn) {
+            raw += p * weight(a, b)
+            if (p < 0) alibis += 1
+            counted(k) = true
+          } else if (p < 0 && !counted(k)) {
+            raw += p * weight(a, b); alibis += 1
+          }
+        }
+        x += 1
+      }
     }
-    val usedU = new Array[Boolean](us.length)
-    val usedV = new Array[Boolean](vs.length)
-    val out = mutable.ArrayBuffer.empty[(Int, Int, Double)]
-    val target = math.min(us.length, vs.length)
-    val it = sorted.iterator
-    while (out.size < target && it.hasNext) {
-      val (d, a, b) = it.next()
-      if (!usedU(a) && !usedV(b)) { usedU(a) = true; usedV(b) = true; out += ((a, b, d)) }
+
+    /** Whether pair `k` comes before pair `j` in the current pass's order. */
+    private def before(k: Int, j: Int): Boolean = {
+      val c =
+        if (nearest) java.lang.Double.compare(dist(k), dist(j))
+        else java.lang.Double.compare(-dist(k), -dist(j))
+      if (c != 0) return c < 0
+      val ak = k / nv; val aj = j / nv
+      val cu = java.lang.Long.compare(uc(uFrom + ak), uc(uFrom + aj))
+      if (cu != 0) return cu < 0
+      val cv = java.lang.Long.compare(vc(vFrom + k - ak * nv), vc(vFrom + j - aj * nv))
+      if (cv != 0) cv < 0 else k < j
     }
-    out.toSeq
+
+    /** `order(0 until m)` = the pair indices sorted by [[before]]: insertion
+      * sort on runs of 16, then bottom-up merges through `tmp`.
+      */
+    private def sortOrder(m: Int): Unit = {
+      var i = 0
+      while (i < m) { order(i) = i; i += 1 }
+      var lo = 0
+      while (lo < m) {
+        val hi = math.min(lo + 16, m)
+        var x = lo + 1
+        while (x < hi) {
+          val k = order(x); var y = x - 1
+          while (y >= lo && before(k, order(y))) { order(y + 1) = order(y); y -= 1 }
+          order(y + 1) = k
+          x += 1
+        }
+        lo = hi
+      }
+      var src = order; var dst = tmp; var width = 16
+      while (width < m) {
+        lo = 0
+        while (lo < m) {
+          val mid = math.min(lo + width, m); val hi = math.min(lo + 2 * width, m)
+          var l = lo; var r = mid; var o = lo
+          while (o < hi) {
+            if (r >= hi || (l < mid && !before(src(r), src(l)))) { dst(o) = src(l); l += 1 }
+            else { dst(o) = src(r); r += 1 }
+            o += 1
+          }
+          lo = hi
+        }
+        val t = src; src = dst; dst = t; width *= 2
+      }
+      if (src ne order) System.arraycopy(src, 0, order, 0, m)
+    }
   }
 
   /** Aggregate one shared window's bins into an unnormalized contribution. */
   def windowScore(us: IndexedSeq[Bin], vs: IndexedSeq[Bin], cfg: ScoreConfig): WindowScore = {
-    if (us.isEmpty || vs.isEmpty) return WindowScore(0.0, 0L, 0L)
-    val uc = us.map(_.cell); val vc = vs.map(_.cell)
-    def weight(a: Int, b: Int): Double =
-      if (cfg.useIdf) math.min(us(a).idf, vs(b).idf) else 1.0
-    def prox(d: Double): Double = Proximity.proximity(d, cfg.runawayKm, cfg.floor)
-
-    var raw = 0.0; var alibis = 0L
-    val comparisons = us.length.toLong * vs.length.toLong
-    cfg.pairing match {
-      case AllPairs =>
-        for (a <- uc.indices; b <- vc.indices) {
-          val p = prox(Grid.minDistanceKm(uc(a), vc(b)))
-          raw += p * weight(a, b)
-          if (p < 0) alibis += 1
-        }
-      case MnnOnly | MnnWithMfn =>
-        val mnn = mutualPairs(uc, vc, nearest = true)
-        val counted = mutable.Set.empty[(Int, Int)]
-        for ((a, b, d) <- mnn) {
-          val p = prox(d)
-          raw += p * weight(a, b)
-          if (p < 0) alibis += 1
-          counted += ((a, b))
-        }
-        if (cfg.pairing == MnnWithMfn) {
-          for ((a, b, d) <- mutualPairs(uc, vc, nearest = false) if !counted((a, b))) {
-            val p = prox(d)
-            if (p < 0) { raw += p * weight(a, b); alibis += 1 } // only alibi deltas (Alg. 1)
-          }
-        }
-    }
-    WindowScore(raw, comparisons, alibis)
+    val k = new Kernel(cfg)
+    k.score(us.map(_.cell).toArray, us.map(_.idf).toArray, 0, us.length,
+      vs.map(_.cell).toArray, vs.map(_.idf).toArray, 0, vs.length)
+    WindowScore(k.raw, us.length.toLong * vs.length.toLong, k.alibis)
   }
 
-  /** DataFrame edge scoring: the similarity join on the shared window.
+  /** One dataset's bins in one window, grouped by entity: entity `ids(k)`
+    * owns `cells(from(k) until from(k + 1))`, sorted by cell. `idf(j)` is
+    * Eq. 3 for `cells(j)`: `ln(n / df)`, with df the number of this side's
+    * rows in the window that hold the cell. Histories hold one row per
+    * `(id, win, cell)`, so that is `|{u : e in H_u}|`, and `StrictMath.log`
+    * is what Spark's `log` evaluates: the idf equals [[Histories.idf]]'s.
+    */
+  final class WindowSide(val ids: Array[Long], val from: Array[Int], val cells: Array[Long],
+                         val idf: Array[Double])
+
+  /** [[WindowSide]] from one window's `(id, cell)` history rows of a dataset
+    * of `nEntities` entities.
+    */
+  def windowSide(rows: Iterator[(Long, Long)], nEntities: Long): WindowSide = {
+    val bins = rows.toArray
+    bins.sortInPlace()
+    val cells = bins.map(_._2)
+    val df = cells.groupMapReduce(identity)(_ => 1)(_ + _)
+    val idf = cells.map(c => StrictMath.log(nEntities.toDouble / df(c)))
+    val starts = bins.indices.filter(j => j == 0 || bins(j)._1 != bins(j - 1)._1)
+    new WindowSide(starts.map(bins(_)._1).toArray, (starts :+ bins.length).toArray, cells, idf)
+  }
+
+  /** Candidate pairs indexed for [[scoreWindows]]: each `uid`'s `vid`s,
+    * sorted.
+    */
+  def candidateIndex(pairs: Iterable[(Long, Long)]): Map[Long, Array[Long]] =
+    pairs.groupMap(_._1)(_._2).map { case (u, vs) => u -> vs.toArray.sorted }
+
+  /** Stage 3: scores every shared window straight from the two datasets'
+    * histories `(id, win, cell, ...)` from [[Histories.build]].
     *
-    * With no `candidates` every entity pair that shares a window is scored —
-    * brute force, where the join on `win` is the only blocking. With
-    * candidates (LSH output) each candidate is joined to the windows of its
-    * `u` and then of its `v`, so only candidate pairs are ever scored.
+    * The histories are grouped by `win` and cogrouped, so on histories
+    * partitioned by window this needs no exchange. Per window, each side's
+    * idf is counted among its rows ([[windowSide]]) and every cross pair
+    * `(u, v)` is scored by one [[Kernel]]; with `candidates` (an index from
+    * [[candidateIndex]]) only the candidate pairs are scored. The partial
+    * `(uid, vid, raw, comparisons, alibis)` rows are summed once by
+    * `(uid, vid)`: one row per pair that shares a window, unnormalized (the
+    * caller divides by `L(u) L(v)`).
+    */
+  def scoreWindows(histE: DataFrame, histI: DataFrame, nE: Long, nI: Long, cfg: ScoreConfig,
+                   candidates: Option[Broadcast[Map[Long, Array[Long]]]] = None): DataFrame = {
+    val spark = histE.sparkSession
+    import spark.implicits._
+    def byWindow(hist: DataFrame) =
+      hist.select("win", "id", "cell").groupBy("win").as[Long, (Long, Long, Long)]
+    byWindow(histE).cogroup(byWindow(histI)) { (_, es, is) =>
+      if (!es.hasNext || !is.hasNext) Iterator.empty
+      else {
+        val e = windowSide(es.map(r => (r._2, r._3)), nE)
+        val i = windowSide(is.map(r => (r._2, r._3)), nI)
+        val keep = candidates.map(_.value).orNull
+        val kernel = new Kernel(cfg)
+        val out = mutable.ArrayBuffer.empty[(Long, Long, Double, Long, Long)]
+        for (x <- e.ids.indices) {
+          val u = e.ids(x)
+          val partners = if (keep == null) null else keep.getOrElse(u, Array.emptyLongArray)
+          val nu = e.from(x + 1) - e.from(x)
+          for (y <- i.ids.indices) {
+            val v = i.ids(y)
+            if (partners == null || java.util.Arrays.binarySearch(partners, v) >= 0) {
+              val nv = i.from(y + 1) - i.from(y)
+              kernel.score(e.cells, e.idf, e.from(x), nu, i.cells, i.idf, i.from(y), nv)
+              out += ((u, v, kernel.raw, nu.toLong * nv, kernel.alibis))
+            }
+          }
+        }
+        out.iterator
+      }
+    }.toDF("uid", "vid", "raw", "comparisons", "alibis")
+      .groupBy("uid", "vid")
+      .agg(sum("raw").as("raw"), sum("comparisons").as("comparisons"), sum("alibis").as("alibis"))
+  }
+
+  /** Reference edge scoring: the row join on the shared window. It is not
+    * on [[Slim.link]]'s path ([[scoreWindows]] is); the benchmark's staged
+    * trace and the tests compare against it.
+    *
+    * Each candidate is joined to the windows of its `u` and then of its `v`,
+    * so only candidate pairs are scored.
     *
     * @param binsE      `(id, win, bins)` from [[Histories.binsByWindow]] (dataset E)
     * @param binsI      same for dataset I
+    * @param candidates `(uid, vid)` pairs to score, e.g.
+    *                   [[Slim.allPairsCandidates]] or LSH output
     * @param lensE      `(id, nbins, lnorm)` from [[Histories.lengthNorm]] (E)
     * @param lensI      same for I
-    * @param candidates `(uid, vid)` pairs to restrict scoring to, if any
-    * @return one row per (candidate) pair that shares at least one window:
+    * @return one row per candidate pair that shares at least one window:
     *         `(uid, vid, score, comparisons, alibis)`. The caller applies
     *         Alg. 1's "if S > 0" edge filter — the unfiltered rows carry the
     *         comparison counts (the §5 cost metric) and alibi counts.
     */
-  def scorePairs(binsE: DataFrame, binsI: DataFrame, lensE: DataFrame, lensI: DataFrame,
-                 cfg: ScoreConfig, candidates: Option[DataFrame] = None): DataFrame = {
+  def scoreEdges(binsE: DataFrame, binsI: DataFrame, candidates: DataFrame,
+                 lensE: DataFrame, lensI: DataFrame, cfg: ScoreConfig): DataFrame = {
     val scoreUdf = udf { (u: Seq[Row], v: Seq[Row]) =>
       val ub = u.map(r => Bin(r.getLong(0), r.getDouble(1))).toIndexedSeq
       val vb = v.map(r => Bin(r.getLong(0), r.getDouble(1))).toIndexedSeq
@@ -154,11 +338,7 @@ object Similarity {
     }
     val e = binsE.select(col("id").as("uid"), col("win"), col("bins").as("ubins"))
     val i = binsI.select(col("id").as("vid"), col("win"), col("bins").as("vbins"))
-    val shared = candidates match { // blocking join: only shared windows survive
-      case Some(c) => c.join(e, Seq("uid")).join(i, Seq("vid", "win"))
-      case None    => e.join(i, Seq("win"))
-    }
-    val aggregated = shared
+    val aggregated = candidates.join(e, Seq("uid")).join(i, Seq("vid", "win"))
       .withColumn("ws", scoreUdf(col("ubins"), col("vbins")))
       .groupBy("uid", "vid")
       .agg(
@@ -175,11 +355,4 @@ object Similarity {
       else aggregated.withColumn("score", col("raw"))
     scored.select("uid", "vid", "score", "comparisons", "alibis")
   }
-
-  /** [[scorePairs]] restricted to `candidates`, e.g.
-    * [[Slim.allPairsCandidates]] or LSH output.
-    */
-  def scoreEdges(binsE: DataFrame, binsI: DataFrame, candidates: DataFrame,
-                 lensE: DataFrame, lensI: DataFrame, cfg: ScoreConfig): DataFrame =
-    scorePairs(binsE, binsI, lensE, lensI, cfg, Some(candidates))
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import scala.jdk.CollectionConverters._
@@ -8,14 +8,18 @@ import scala.jdk.CollectionConverters._
 /** End-to-end SLIM pipeline (paper Alg. 1 + §3.2 + §4).
   *
   * Stages, all DataFrame transformations until the per-edge reduction:
-  *  1. mobility histories + idf + BM25 length norms per dataset ([[prepare]]):
-  *     one shuffle partitions the histories by window, which idf, the bins
-  *     and the stage-3 join reuse; one collect of the per-entity history
-  *     sizes (driver memory O(nE)) gives the counts and the norms;
-  *  2. candidate pairs from dominating-cell banding LSH; brute force has no
-  *     candidate list, since every pair sharing a window is scored;
-  *  3. similarity join on the shared window (restricted to the LSH
-  *     candidates, if any) with MNN/MFN window scoring, collected once;
+  *  1. mobility histories + BM25 length norms per dataset ([[prepare]]):
+  *     one shuffle partitions the histories by window, which stage 3 reuses;
+  *     one collect of the per-entity history sizes (driver memory O(nE))
+  *     gives the counts and the norms;
+  *  2. candidate pairs from dominating-cell banding LSH, collected to the
+  *     driver; brute force has no candidate list, since every pair sharing a
+  *     window is scored;
+  *  3. per-window scoring ([[scorePairs]]): each window of the two cached
+  *     histories is cogrouped, its idf counted and every cross pair (the LSH
+  *     candidates only, if any) scored by one primitive kernel; the partial
+  *     sums are added up by pair and collected once, and the driver divides
+  *     by the length norms;
   *  4. (driver) greedy maximum-weight bipartite matching;
   *  5. (driver) GMM stop-threshold over matched edge weights; links above the
   *     threshold are the output.
@@ -71,10 +75,8 @@ object Slim {
   /** One dataset after stage 1, ready for the similarity join.
     *
     * @param histories  leaf bins from [[Histories.build]], partitioned by
-    *                   window and cached until [[unpersist]]
-    * @param bins       idf-weighted bins per window from
-    *                   [[Histories.binsByWindow]], derived from `histories`
-    *                   within its window partitions
+    *                   window and cached until [[unpersist]]; stage 3 counts
+    *                   the idf (Eq. 3) per window from them
     * @param lens       BM25 length norms from [[Histories.lengthNorm]], over a
     *                   local DataFrame of the collected history sizes
     * @param nEntities  number of entities with at least one record (0 for an
@@ -86,14 +88,13 @@ object Slim {
     * @param maxWin     last window any entity occupies (Long.MinValue when
     *                   empty)
     */
-  final case class Prepared(histories: DataFrame, bins: DataFrame, lens: DataFrame,
+  final case class Prepared(histories: DataFrame, lens: DataFrame,
                             nEntities: Long, meanLength: Double, minWin: Long, maxWin: Long) {
     def unpersist(): Unit = histories.unpersist()
   }
 
-  /** Stage 1 for one dataset: its histories, per-window bins carrying the
-    * dataset's own idf (Eq. 3), and its length norms (Eq. 2). One Spark
-    * action: a collect of the per-entity history sizes
+  /** Stage 1 for one dataset: its histories and its length norms (Eq. 2).
+    * One Spark action: a collect of the per-entity history sizes
     * `(id, nbins, minWin, maxWin)`, from which the driver derives the entity
     * count, the mean history length and the window range. Driver memory is
     * O(nE).
@@ -105,13 +106,13 @@ object Slim {
     val n = sizes.length.toLong
     val mean = if (n == 0) 0.0 else sizes.map(_.getLong(1)).sum.toDouble / n
     val local = hist.sparkSession.createDataFrame(sizes.toSeq.asJava, sizesDf.schema)
-    Prepared(hist, Histories.binsByWindow(hist, n), Histories.lengthNorm(local, cfg.bParam, mean),
+    Prepared(hist, Histories.lengthNorm(local, cfg.bParam, mean),
       n, mean, sizes.map(_.getLong(2)).minOption.getOrElse(Long.MaxValue),
       sizes.map(_.getLong(3)).maxOption.getOrElse(Long.MinValue))
   }
 
   /** Cross product of the two entity id sets: every pair brute force
-    * considers. [[link]] does not build it (the shared-window join scores the
+    * considers. [[link]] does not build it (the per-window scorer scores the
     * same pairs); it stays as a candidate list for [[Similarity.scoreEdges]].
     */
   def allPairsCandidates(recordsE: DataFrame, recordsI: DataFrame): DataFrame = {
@@ -120,11 +121,35 @@ object Slim {
     e.crossJoin(i)
   }
 
+  /** Stage 3: every pair of `e` and `i` entities that shares a window (only
+    * the `candidates`, if given) with its score and cost counters, from one
+    * collect of [[Similarity.scoreWindows]]. The candidates reach the tasks
+    * as a broadcast index. The norms are collected from the local `lens`
+    * (no Spark job) and applied on the driver: `raw / (L(u) L(v))`.
+    */
+  def scorePairs(e: Prepared, i: Prepared, cfg: Similarity.ScoreConfig,
+                 candidates: Option[Array[(Long, Long)]] = None): Array[Similarity.PairScore] = {
+    val sc = e.histories.sparkSession.sparkContext
+    val index = candidates.map(c => sc.broadcast(Similarity.candidateIndex(c)))
+    val rows =
+      try Similarity.scoreWindows(e.histories, i.histories, e.nEntities, i.nEntities, cfg, index)
+        .collect()
+      finally index.foreach(_.destroy())
+    def norms(p: Prepared) =
+      p.lens.select("id", "lnorm").collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+    val (lu, lv) = (norms(e), norms(i))
+    rows.map { r =>
+      val (u, v, raw) = (r.getLong(0), r.getLong(1), r.getDouble(2))
+      Similarity.PairScore(u, v, if (cfg.useNorm) raw / (lu(u) * lv(v)) else raw,
+        r.getLong(3), r.getLong(4))
+    }
+  }
+
   /** Run SLIM over two location datasets `(id, ts, lat, lon)`.
     *
-    * Spark actions: one per dataset in [[prepare]], the count of the cached
-    * LSH candidates (LSH only), and one collect of the scored pairs. When a
-    * side is empty there is no pair to score: stages 2–3 are skipped and the
+    * Spark actions: one per dataset in [[prepare]], the collect of the LSH
+    * candidates (LSH only), and one collect of the scored pairs. When a side
+    * is empty there is no pair to score: stages 2–3 are skipped and the
     * result has no candidates, comparisons, matches or links.
     */
   def link(spark: SparkSession, recordsE: DataFrame, recordsI: DataFrame,
@@ -142,23 +167,24 @@ object Slim {
       val qMax = math.floorDiv(math.max(prepE.maxWin, prepI.maxWin), l.stepWindows.toLong)
       val (_, r) = Lsh.bandsFor((qMax - qMin + 1).toInt, l.t)
       Lsh.candidates(Lsh.signatures(recordsE, l, cfg.windowSec),
-        Lsh.signatures(recordsI, l, cfg.windowSec), qMin, r, l.numBuckets).cache()
+        Lsh.signatures(recordsI, l, cfg.windowSec), qMin, r, l.numBuckets)
+        .collect().map(c => (c.getLong(0), c.getLong(1)))
     }
-    val nCandidates = lshCandidates.fold(prepE.nEntities * prepI.nEntities)(_.count())
+    val nCandidates = lshCandidates.fold(prepE.nEntities * prepI.nEntities)(_.length.toLong)
 
-    val rows = if (!bothSides) Array.empty[Row] else Similarity.scorePairs(prepE.bins,
-      prepI.bins, prepE.lens, prepI.lens, cfg.scoreConfig, lshCandidates).collect()
-    val comparisons = rows.iterator.map(_.getLong(3)).sum
-    val alibiEntityPairs = rows.count(_.getLong(4) > 0).toLong
-    val edges = rows.iterator.filter(_.getDouble(2) > 0)
-      .map(r => Matching.Edge(r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq
+    val scored = if (!bothSides) Array.empty[Similarity.PairScore]
+      else scorePairs(prepE, prepI, cfg.scoreConfig, lshCandidates)
+    val comparisons = scored.iterator.map(_.comparisons).sum
+    val alibiEntityPairs = scored.count(_.alibis > 0).toLong
+    val edges = scored.iterator.filter(_.score > 0)
+      .map(p => Matching.Edge(p.uid, p.vid, p.score)).toSeq
 
     val matched = Matching.greedy(edges)
     val (threshold, gmm) = Gmm.stopThresholdWithFit(matched.map(_.w).toArray)
     val links = matched.filter(_.w >= threshold).map(e => (e.u, e.v, e.w))
 
     val elapsedMs = (System.nanoTime() - t0) / 1000000L
-    lshCandidates.foreach(_.unpersist()); prepE.unpersist(); prepI.unpersist()
+    prepE.unpersist(); prepI.unpersist()
     SlimResult(links, matched, threshold, gmm, nCandidates, comparisons, alibiEntityPairs,
       elapsedMs)
   }

@@ -201,8 +201,7 @@ object Experiments {
                  cfg: Slim.SlimConfig): Map[(Long, Long), Double] = {
     val e = Slim.prepare(sc.e, cfg)
     val i = Slim.prepare(sc.i, cfg)
-    val out = Similarity.scorePairs(e.bins, i.bins, e.lens, i.lens, cfg.scoreConfig)
-      .collect().map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
+    val out = Slim.scorePairs(e, i, cfg.scoreConfig).map(p => ((p.uid, p.vid), p.score)).toMap
     e.unpersist(); i.unpersist()
     out
   }

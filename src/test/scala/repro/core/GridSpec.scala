@@ -1,8 +1,32 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
 
 class GridSpec extends AnyFunSuite {
+
+  test("property: minDistance equals the tuple-based oracle exactly") {
+    // Mixed levels, cells anywhere (so pairs straddle the antimeridian),
+    // plus pairs forced to the antimeridian columns and to the polar rows.
+    val rnd = new Random(20261019L)
+    def anyCell(level: Int, x: Int => Int, y: Int => Int): Long = {
+      val n = 1 << level
+      Grid.pack(level, x(n), y(n))
+    }
+    val edge = (n: Int) => if (rnd.nextBoolean()) rnd.nextInt(math.min(n, 3)) else n - 1 - rnd.nextInt(math.min(n, 3))
+    val uniform = (n: Int) => rnd.nextInt(n)
+    for (trial <- 1 to 20000) {
+      val (la, lb) = (rnd.nextInt(21), rnd.nextInt(21))
+      val (x, y) = trial % 3 match {
+        case 0 => (uniform, uniform) // anywhere
+        case 1 => (edge, uniform)    // antimeridian wrap
+        case _ => (uniform, edge)    // near the poles
+      }
+      val a = anyCell(la, x, y)
+      val b = if (trial % 7 == 0) Grid.ancestorAt(a, math.min(la, lb)) else anyCell(lb, x, y)
+      assert(Grid.minDistanceKm(a, b) == TestSupport.minDistanceKm(a, b), s"cells $a, $b")
+    }
+  }
 
   test("pack/unpack round-trips") {
     for (level <- Seq(0, 1, 4, 12, 14, 20, Grid.MaxLevel)) {

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.mobility.MobilityGen
@@ -117,16 +117,18 @@ class HistoriesSpec extends SparkSpec {
     val prep = Slim.prepare(records, cfg)
     val hist = Histories.build(records, Level, WindowSec).cache()
     try {
-      def cellIdf(bins: DataFrame): Map[(Long, Long), Map[Long, Double]] =
-        bins.collect().map(r => (r.getLong(0), r.getLong(1)) ->
-          r.getSeq[Row](2).map(b => b.getLong(0) -> b.getDouble(1)).toMap).toMap
-      val got = cellIdf(prep.bins)
-      val want = cellIdf(Histories.binsByWindow(hist, Histories.idf(hist, Histories.nEntities(hist))))
-      assert(got.keySet == want.keySet)
-      for ((k, cells) <- got) {
-        assert(cells.keySet == want(k).keySet, s"cells of $k")
-        for ((c, v) <- cells) assert(math.abs(v - want(k)(c)) <= 1e-12, s"idf of $k cell $c")
-      }
+      // Stage 3 counts each window's idf from the prepared histories; it
+      // must equal Spark's Eq. 3 over the whole history set bit for bit.
+      val got = prep.histories.select("win", "id", "cell").collect()
+        .groupBy(_.getLong(0)).toSeq.flatMap { case (win, rows) =>
+          val side = Similarity.windowSide(rows.iterator.map(r => (r.getLong(1), r.getLong(2))),
+            prep.nEntities)
+          side.cells.indices.map(j => (win, side.cells(j)) -> side.idf(j))
+        }
+      val want = Histories.idf(hist, Histories.nEntities(hist)).collect()
+        .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
+      assert(got.map(_._1).toSet == want.keySet)
+      for ((k, v) <- got) assert(v == want(k), s"idf of (win, cell) $k: $v vs ${want(k)}")
 
       def lens(df: DataFrame) = df.select("id", "nbins", "lnorm").collect()
         .map(r => r.getLong(0) -> (r.getLong(1), r.getDouble(2))).toMap

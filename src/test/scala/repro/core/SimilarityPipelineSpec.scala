@@ -8,7 +8,7 @@ import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.exp.Experiments
 import repro.mobility.MobilityGen
-import TestSupport.recordsDf
+import TestSupport.{recordsDf, refBins}
 
 /** The DataFrame similarity join cross-checked against [[LocalReference]]. */
 class SimilarityPipelineSpec extends SparkSpec {
@@ -35,7 +35,7 @@ class SimilarityPipelineSpec extends SparkSpec {
   private def scoreAll(recordsE: DataFrame, recordsI: DataFrame,
                        cfg: Similarity.ScoreConfig): Map[(Long, Long), Double] =
     withPrepared(recordsE, recordsI) { (e, i) =>
-      scoredRows(Similarity.scoreEdges(e.bins, i.bins,
+      scoredRows(Similarity.scoreEdges(refBins(e), refBins(i),
         Slim.allPairsCandidates(recordsE, recordsI), e.lens, i.lens, cfg)).map { case (k, v) => k -> v._1 }
     }
 
@@ -83,44 +83,72 @@ class SimilarityPipelineSpec extends SparkSpec {
     }
   }
 
+  /** LSH candidates of a generated pair, collected. */
+  private def lshCandidates(recordsE: DataFrame, recordsI: DataFrame): Array[(Long, Long)] =
+    TestSupport.candidatePairs(recordsE, recordsI,
+      Lsh.LshConfig(t = 0.5, sigLevel = Level, stepWindows = 8, numBuckets = 4096), WindowSec)
+      ._1.collect().map(r => (r.getLong(0), r.getLong(1)))
+
+  /** One input and its LSH candidates for the three pairings below. */
+  private lazy val (equivPair, equivCandidates) = {
+    val pair = genPair(10, 60, 0.7)
+    (pair, lshCandidates(pair.e, pair.i))
+  }
+
   for (pairing <- Seq(Similarity.MnnWithMfn, Similarity.MnnOnly, Similarity.AllPairs)) {
     test(s"shared-window scoring equals scoreEdges over all pairs ($pairing)") {
-      val pair = genPair(10, 60, 0.7)
+      val (pair, candidates) = (equivPair, equivCandidates)
       val cfg = Similarity.ScoreConfig(
         runawayKm = Proximity.runawayKm(WindowSec, 2.0), pairing = pairing)
-      val (shared, viaCandidates) = withPrepared(pair.e, pair.i) { (e, i) =>
-        (scoredRows(Similarity.scorePairs(e.bins, i.bins, e.lens, i.lens, cfg)),
-          scoredRows(Similarity.scoreEdges(e.bins, i.bins,
-            Slim.allPairsCandidates(pair.e, pair.i), e.lens, i.lens, cfg)))
+      assert(candidates.nonEmpty)
+      def rows(scores: Array[Similarity.PairScore]) =
+        scores.map(p => (p.uid, p.vid) -> (p.score, p.comparisons, p.alibis)).toMap
+      // Brute force against all pairs, and the LSH path against its candidates.
+      val cases = withPrepared(pair.e, pair.i) { (e, i) =>
+        import spark.implicits._
+        Seq(
+          "all pairs" -> (rows(Slim.scorePairs(e, i, cfg)), scoredRows(Similarity.scoreEdges(
+            refBins(e), refBins(i), Slim.allPairsCandidates(pair.e, pair.i), e.lens, i.lens, cfg))),
+          "LSH candidates" -> (rows(Slim.scorePairs(e, i, cfg, Some(candidates))),
+            scoredRows(Similarity.scoreEdges(refBins(e), refBins(i),
+              candidates.toSeq.toDF("uid", "vid"), e.lens, i.lens, cfg))))
       }
-      assert(shared.nonEmpty)
-      assert(shared.keySet == viaCandidates.keySet)
-      for ((k, (s, comps, alibis)) <- shared) {
-        val (s0, comps0, alibis0) = viaCandidates(k)
-        assert(math.abs(s - s0) <= 1e-9, s"pair $k: shared=$s candidates=$s0")
-        assert(comps == comps0 && alibis == alibis0, s"pair $k counters")
+      for ((input, (windows, viaCandidates)) <- cases) {
+        assert(windows.nonEmpty, input)
+        assert(windows.keySet == viaCandidates.keySet, input)
+        for ((k, (s, comps, alibis)) <- windows) {
+          val (s0, comps0, alibis0) = viaCandidates(k)
+          assert(math.abs(s - s0) <= 1e-9, s"$input, pair $k: windows=$s candidates=$s0")
+          assert(comps == comps0 && alibis == alibis0, s"$input, pair $k counters")
+        }
       }
     }
   }
 
-  test("brute-force scoring adds no shuffle keyed on the window") {
-    // Stage 1 partitions the histories by window; idf, the bins and the
-    // shared-window join must all reuse that partitioning.
-    val pair = genPair(8, 50, 0.7)
-    val cfg = Similarity.ScoreConfig(runawayKm = Proximity.runawayKm(WindowSec, 2.0))
-    val shuffleKeys = withPrepared(pair.e, pair.i) { (e, i) =>
-      val scored = Similarity.scorePairs(e.bins, i.bins, e.lens, i.lens, cfg)
-      assert(scored.collect().nonEmpty)
-      object Plan extends AdaptiveSparkPlanHelper
-      Plan.collect(scored.queryExecution.executedPlan) {
-        case s: ShuffleExchangeExec => s.outputPartitioning match {
-          case p: Expression => p.references.map(_.name).toSet
-          case _             => Set.empty[String]
+  for (path <- Seq("brute-force", "LSH")) {
+    test(s"$path scoring adds no shuffle keyed on the window") {
+      // Stage 1 partitions the histories by window; the per-window cogroup
+      // of stage 3 must reuse that partitioning.
+      val pair = genPair(8, 50, 0.7)
+      val cfg = Similarity.ScoreConfig(runawayKm = Proximity.runawayKm(WindowSec, 2.0))
+      val candidates = if (path == "LSH") Some(lshCandidates(pair.e, pair.i)) else None
+      val shuffleKeys = withPrepared(pair.e, pair.i) { (e, i) =>
+        val index = candidates.map(c => spark.sparkContext.broadcast(Similarity.candidateIndex(c)))
+        val scored = Similarity.scoreWindows(e.histories, i.histories, e.nEntities, i.nEntities,
+          cfg, index)
+        assert(scored.collect().nonEmpty)
+        index.foreach(_.destroy())
+        object Plan extends AdaptiveSparkPlanHelper
+        Plan.collect(scored.queryExecution.executedPlan) {
+          case s: ShuffleExchangeExec => s.outputPartitioning match {
+            case p: Expression => p.references.map(_.name).toSet
+            case _             => Set.empty[String]
+          }
         }
       }
+      assert(shuffleKeys.nonEmpty, "the per-pair aggregation shuffles")
+      assert(!shuffleKeys.exists(_.contains("win")), s"shuffle keys: $shuffleKeys")
     }
-    assert(shuffleKeys.nonEmpty, "the per-pair aggregation shuffles")
-    assert(!shuffleKeys.exists(_.contains("win")), s"shuffle keys: $shuffleKeys")
   }
 
   test("scoreEdges equals LocalReference without idf and norm") {

@@ -1,9 +1,14 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
 import Similarity._
+import TestSupport.mutualPairs
 
-/** In-core tests of the pairing function and per-window aggregation. */
+/** In-core tests of the pairing function and per-window aggregation. The
+  * pairing cases run on [[TestSupport.mutualPairs]], the oracle the kernel is
+  * checked against below.
+  */
 class SimilarityScoreSpec extends AnyFunSuite {
 
   // Convenient cells along a line: each step is one level-14 cell eastward
@@ -120,6 +125,52 @@ class SimilarityScoreSpec extends AnyFunSuite {
     val ap = windowScore(us, vs, cfg(AllPairs))
     val mnn = windowScore(us, vs, cfg(MnnOnly))
     assert(ap.raw == 9.0 && mnn.raw == 3.0)
+  }
+
+  test("property: the primitive kernel equals the boxed oracle exactly") {
+    // Random windows: 1-12 bins per side at mixed levels around one point,
+    // with shared and repeated cells, equal-distance ties (cells mirrored
+    // around a centre, adjacent cells at distance 0) and pairs beyond R and
+    // 2R (a level-14 cell is ~2.4 km; offsets reach ~40 cells).
+    val rnd = new Random(20261019L)
+    val centre = 8192
+    def cell(level: Int, dx: Int, dy: Int): Long = {
+      val shift = 14 - level
+      Grid.pack(level, (centre + dx) >> shift, (centre + dy) >> shift)
+    }
+    def randomCell(): Long = {
+      val level = 12 + rnd.nextInt(3)
+      val dx = rnd.nextInt(81) - 40
+      val dy = if (rnd.nextBoolean()) 0 else rnd.nextInt(21) - 10
+      cell(level, dx, dy)
+    }
+    def randomIdf(): Double = if (rnd.nextInt(4) == 0) 1.0 else rnd.nextDouble() * 4
+    val pairings = Seq(MnnWithMfn, MnnOnly, AllPairs)
+    var checked = 0
+    for (_ <- 1 to 1500) {
+      val us = IndexedSeq.fill(1 + rnd.nextInt(12))(Bin(randomCell(), randomIdf()))
+      val mirrored = us.map { b => // the mirror image of a u cell, at the same distance
+        val l = Grid.levelOf(b.cell); val n = 1 << l
+        Grid.pack(l, math.max(0, math.min(n - 1, 2 * (centre >> (14 - l)) - Grid.xOf(b.cell))),
+          Grid.yOf(b.cell))
+      }
+      val vs = IndexedSeq.fill(1 + rnd.nextInt(12)) {
+        val c = rnd.nextInt(4) match {
+          case 0 => us(rnd.nextInt(us.length)).cell         // shared cell
+          case 1 => mirrored(rnd.nextInt(mirrored.length))  // tie with a mirrored pair
+          case _ => randomCell()
+        }
+        Bin(c, randomIdf())
+      }
+      for (pairing <- pairings; useIdf <- Seq(true, false)) {
+        val c = cfg(pairing, useIdf)
+        val got = windowScore(us, vs, c)
+        val want = TestSupport.windowScore(us, vs, c)
+        assert(got == want, s"$pairing idf=$useIdf us=$us vs=$vs")
+        checked += 1
+      }
+    }
+    assert(checked == 1500 * 6)
   }
 
   test("windowScore is symmetric in its sides") {

@@ -58,6 +58,16 @@ class SlimIntegrationSpec extends SparkSpec {
     assert(lshF1 >= 0.6 * bfF1, s"relative F1 ${lshF1 / bfF1}")
   }
 
+  test("every matched LSH edge weighs the brute-force score of its pair") {
+    val bruteForce = repro.exp.Experiments.slimScores(spark,
+      repro.exp.Experiments.Scenario("integration", pair), cfg)
+    assert(lsh.matched.nonEmpty)
+    for (m <- lsh.matched) {
+      val s = bruteForce((m.u, m.v))
+      assert(math.abs(m.w - s) <= 1e-9, s"pair (${m.u}, ${m.v}): LSH ${m.w} vs brute force $s")
+    }
+  }
+
   test("LSH candidates from stage 1's window range equal those from the signatures' range") {
     val fromSignatures = TestSupport.candidatePairs(pair.e, pair.i, lshCfg.lsh.get, cfg.windowSec)
     assert(lsh.nCandidates == fromSignatures._1.count())

@@ -2,6 +2,9 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.{max, min}
+import Similarity.{AllPairs, Bin, MnnOnly, MnnWithMfn, ScoreConfig, WindowScore}
+
+import scala.collection.mutable
 
 /** Test-only helpers and oracles over the core types. */
 object TestSupport {
@@ -54,5 +57,109 @@ object TestSupport {
     val sigLen = (qMax - qMin + 1).toInt
     val (b, r) = Lsh.bandsFor(sigLen, cfg.t)
     (Lsh.candidates(sigE, sigI, qMin, r, cfg.numBuckets), sigLen, b, r)
+  }
+
+  /** Idf-weighted bins per window, `(id, win, bins)`, of a prepared dataset:
+    * the input of the reference scoring [[Similarity.scoreEdges]].
+    */
+  def refBins(p: Slim.Prepared): DataFrame =
+    Histories.binsByWindow(p.histories, Histories.idf(p.histories, p.nEntities))
+
+  /** Greedy mutual pairing over boxed tuples — the oracle for the pairing
+    * order of [[Similarity.Kernel]]. Returns (indexU, indexV, distanceKm)
+    * triples. `nearest = true` picks globally closest pairs first (N); false
+    * picks the furthest first (N'). Ties break on (cellU, cellV), then on the
+    * input order.
+    */
+  def mutualPairs(us: IndexedSeq[Long], vs: IndexedSeq[Long], nearest: Boolean): Seq[(Int, Int, Double)] = {
+    if (us.isEmpty || vs.isEmpty) return Nil
+    val all = mutable.ArrayBuffer.empty[(Double, Int, Int)]
+    var i = 0
+    while (i < us.length) {
+      var j = 0
+      while (j < vs.length) {
+        all += ((minDistanceKm(us(i), vs(j)), i, j)); j += 1
+      }
+      i += 1
+    }
+    val sorted = all.sortBy { case (d, a, b) =>
+      (if (nearest) d else -d, us(a), vs(b))
+    }
+    val usedU = new Array[Boolean](us.length)
+    val usedV = new Array[Boolean](vs.length)
+    val out = mutable.ArrayBuffer.empty[(Int, Int, Double)]
+    val target = math.min(us.length, vs.length)
+    val it = sorted.iterator
+    while (out.size < target && it.hasNext) {
+      val (d, a, b) = it.next()
+      if (!usedU(a) && !usedV(b)) { usedU(a) = true; usedV(b) = true; out += ((a, b, d)) }
+    }
+    out.toSeq
+  }
+
+  /** One window's unnormalized score over boxed collections, with both
+    * pairing passes run in full — the oracle for [[Similarity.windowScore]].
+    */
+  def windowScore(us: IndexedSeq[Bin], vs: IndexedSeq[Bin], cfg: ScoreConfig): WindowScore = {
+    if (us.isEmpty || vs.isEmpty) return WindowScore(0.0, 0L, 0L)
+    val uc = us.map(_.cell); val vc = vs.map(_.cell)
+    def weight(a: Int, b: Int): Double =
+      if (cfg.useIdf) math.min(us(a).idf, vs(b).idf) else 1.0
+    def prox(d: Double): Double = Proximity.proximity(d, cfg.runawayKm, cfg.floor)
+
+    var raw = 0.0; var alibis = 0L
+    val comparisons = us.length.toLong * vs.length.toLong
+    cfg.pairing match {
+      case AllPairs =>
+        for (a <- uc.indices; b <- vc.indices) {
+          val p = prox(minDistanceKm(uc(a), vc(b)))
+          raw += p * weight(a, b)
+          if (p < 0) alibis += 1
+        }
+      case MnnOnly | MnnWithMfn =>
+        val mnn = mutualPairs(uc, vc, nearest = true)
+        val counted = mutable.Set.empty[(Int, Int)]
+        for ((a, b, d) <- mnn) {
+          val p = prox(d)
+          raw += p * weight(a, b)
+          if (p < 0) alibis += 1
+          counted += ((a, b))
+        }
+        if (cfg.pairing == MnnWithMfn) {
+          for ((a, b, d) <- mutualPairs(uc, vc, nearest = false) if !counted((a, b))) {
+            val p = prox(d)
+            if (p < 0) { raw += p * weight(a, b); alibis += 1 } // only alibi deltas (Alg. 1)
+          }
+        }
+    }
+    WindowScore(raw, comparisons, alibis)
+  }
+
+  /** Minimum distance between two cells' rectangles through
+    * [[Grid.bounds]]' tuples and a `Seq` — the oracle for
+    * [[Grid.minDistanceKm]], which must equal it bit for bit.
+    */
+  def minDistanceKm(a: Long, b: Long): Double = {
+    if (a == b) return 0.0
+    val (aLa0, aLa1, aLo0, aLo1) = Grid.bounds(a)
+    val (bLa0, bLa1, bLo0, bLo1) = Grid.bounds(b)
+    val dLat =
+      if (aLa1 < bLa0) bLa0 - aLa1
+      else if (bLa1 < aLa0) aLa0 - bLa1
+      else 0.0
+    val dLon =
+      if (aLo1 >= bLo0 && bLo1 >= aLo0) 0.0
+      else {
+        val eastGap = ((bLo0 - aLo1) % 360 + 360) % 360
+        val westGap = ((aLo0 - bLo1) % 360 + 360) % 360
+        math.min(eastGap, westGap)
+      }
+    if (dLat == 0.0 && dLon == 0.0) return 0.0
+    val phiMax = Seq(aLa0, aLa1, bLa0, bLa1).map(math.abs).max
+    val sLat = math.sin(math.toRadians(dLat) / 2)
+    val sLon = math.sin(math.toRadians(math.min(dLon, 180.0)) / 2)
+    val cosPhi = math.cos(math.toRadians(math.min(phiMax, 90.0)))
+    val q = math.sqrt(sLat * sLat + cosPhi * cosPhi * sLon * sLon)
+    2 * Grid.EarthRadiusKm * math.asin(math.min(1.0, q))
   }
 }
