@@ -35,16 +35,44 @@ object Histories {
     * Correctness never depends on it: without it Spark plans the exchanges
     * back.
     */
-  def build(records: DataFrame, level: Int, windowSec: Long): DataFrame = {
+  def build(records: DataFrame, level: Int, windowSec: Long): DataFrame =
+    binned(records, Nil, level, windowSec)
+
+  /** Side of dataset E in [[tagSides]]' and [[buildSides]]' `side` column. */
+  val SideE = 0
+  /** Side of dataset I. */
+  val SideI = 1
+
+  /** Both location datasets in one relation: `(side, id, ts, lat, lon)`, with
+    * `side` [[SideE]] for the rows of `recordsE` and [[SideI]] for those of
+    * `recordsI`. An id present in both datasets stays two entities.
+    */
+  def tagSides(recordsE: DataFrame, recordsI: DataFrame): DataFrame = {
+    def tagged(records: DataFrame, side: Int) =
+      records.select(lit(side).as("side") +: RecordColumns.map(col): _*)
+    tagged(recordsE, SideE).union(tagged(recordsI, SideI))
+  }
+
+  /** [[build]] of both datasets at once, over their [[tagSides]] rows:
+    * `(side, id, win, cell, cnt)`, hash-partitioned by `win` by one shuffle.
+    * The rows with `side = s` are exactly [[build]] of that dataset.
+    */
+  def buildSides(recordsE: DataFrame, recordsI: DataFrame, level: Int,
+                 windowSec: Long): DataFrame =
+    binned(tagSides(recordsE, recordsI), Seq("side"), level, windowSec)
+
+  /** The binning of [[build]] and [[buildSides]], grouped by `keys` as well. */
+  private def binned(records: DataFrame, keys: Seq[String], level: Int,
+                     windowSec: Long): DataFrame = {
     require(windowSec > 0, "windowSec must be positive")
     records
-      .select(
+      .select(keys.map(col) ++ Seq(
         col("id"),
         floor(col("ts") / windowSec).cast("long").as("win"),
         cellUdf(level)(col("lat"), col("lon")).as("cell"),
-      )
+      ): _*)
       .repartition(col("win"))
-      .groupBy("id", "win", "cell")
+      .groupBy((keys ++ Seq("id", "win", "cell")).map(col): _*)
       .agg(count(lit(1)).as("cnt"))
   }
 
@@ -79,10 +107,11 @@ object Histories {
   }
 
   /** History length |H_u| per entity, with the entity's first and last
-    * window: `(id, nbins, minWin, maxWin)`.
+    * window, per distinct `keys` (the entity id, or `(side, id)` over
+    * [[buildSides]]' histories): `(keys..., nbins, minWin, maxWin)`.
     */
-  def historySizes(hist: DataFrame): DataFrame =
-    hist.groupBy("id").agg(count(lit(1)).as("nbins"), min("win").as("minWin"),
+  def historySizes(hist: DataFrame, keys: Seq[String] = Seq("id")): DataFrame =
+    hist.groupBy(keys.map(col): _*).agg(count(lit(1)).as("nbins"), min("win").as("minWin"),
       max("win").as("maxWin"))
 
   /** Bins of one entity per window with the per-bin idf attached and collected

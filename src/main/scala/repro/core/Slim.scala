@@ -1,20 +1,25 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
 
 import scala.jdk.CollectionConverters._
 
 /** End-to-end SLIM pipeline (paper Alg. 1 + §3.2 + §4).
   *
   * Stages, all DataFrame transformations until the per-edge reduction:
-  *  1. mobility histories + BM25 length norms per dataset ([[prepare]]):
-  *     one shuffle partitions the histories by window, which stage 3 reuses;
-  *     one collect of the per-entity history sizes (driver memory O(nE))
-  *     gives the counts and the norms;
-  *  2. candidate pairs from dominating-cell banding LSH, collected to the
-  *     driver; brute force has no candidate list, since every pair sharing a
-  *     window is scored;
+  *  1. mobility histories + BM25 length norms of both datasets at once
+  *     ([[prepare]]): the records are tagged with their side, one shuffle
+  *     partitions both datasets' histories by window, which stage 3 reuses,
+  *     and one collect of the per-entity history sizes (driver memory
+  *     O(nE + nI)) gives the counts and the norms;
+  *  2. candidate pairs from dominating-cell banding LSH
+  *     ([[Lsh.candidatePairs]]): one grouping of both datasets' records by
+  *     entity computes every signature and its band buckets, a second by
+  *     bucket pairs E with I, and the pairs are collected to the driver;
+  *     brute force has no candidate list, since every pair sharing a window
+  *     is scored;
   *  3. per-window scoring ([[scorePairs]]): each window of the two cached
   *     histories is cogrouped, its idf counted and every cross pair (the LSH
   *     candidates only, if any) scored by one primitive kernel; the partial
@@ -23,6 +28,10 @@ import scala.jdk.CollectionConverters._
   *  4. (driver) greedy maximum-weight bipartite matching;
   *  5. (driver) GMM stop-threshold over matched edge weights; links above the
   *     threshold are the output.
+  *
+  * So a link runs at most three Spark actions: one collect for stage 1 of
+  * both datasets, one LSH candidate collect (LSH only) and one scored-pair
+  * collect.
   */
 object Slim {
 
@@ -74,8 +83,15 @@ object Slim {
 
   /** One dataset after stage 1, ready for the similarity join.
     *
-    * @param histories  leaf bins from [[Histories.build]], partitioned by
-    *                   window and cached until [[unpersist]]; stage 3 counts
+    * The production path builds it for both datasets at once ([[prepare]]).
+    * The per-dataset reference is [[Histories.build]] of its records with
+    * [[Histories.idf]] and [[Histories.lengthNorm]]: the tests and the
+    * benchmark's staged trace compare against those, and `histories`, the
+    * idf counted from it and `lens` equal them.
+    *
+    * @param histories  the dataset's leaf bins `(id, win, cell, cnt)`: its
+    *                   side of [[Stage1.histories]], so partitioned by window
+    *                   and cached until [[Stage1.unpersist]]; stage 3 counts
     *                   the idf (Eq. 3) per window from them
     * @param lens       BM25 length norms from [[Histories.lengthNorm]], over a
     *                   local DataFrame of the collected history sizes
@@ -89,26 +105,45 @@ object Slim {
     *                   empty)
     */
   final case class Prepared(histories: DataFrame, lens: DataFrame,
-                            nEntities: Long, meanLength: Double, minWin: Long, maxWin: Long) {
+                            nEntities: Long, meanLength: Double, minWin: Long, maxWin: Long)
+
+  /** Stage 1 of both datasets, from one Spark plan.
+    *
+    * @param e         dataset E
+    * @param i         dataset I
+    * @param histories both datasets' histories `(side, id, win, cell, cnt)`
+    *                  from [[Histories.buildSides]], cached: `e.histories`
+    *                  and `i.histories` are its two sides
+    */
+  final case class Stage1(e: Prepared, i: Prepared, histories: DataFrame) {
+    /** Releases the cached histories of both datasets. */
     def unpersist(): Unit = histories.unpersist()
   }
 
-  /** Stage 1 for one dataset: its histories and its length norms (Eq. 2).
-    * One Spark action: a collect of the per-entity history sizes
-    * `(id, nbins, minWin, maxWin)`, from which the driver derives the entity
-    * count, the mean history length and the window range. Driver memory is
-    * O(nE).
+  /** Stage 1 for both datasets: their histories and their length norms
+    * (Eq. 2). The two record sets are tagged with their side and binned
+    * together ([[Histories.buildSides]]): one shuffle by window and one
+    * cache serve both. One Spark action, a collect of the per-entity history
+    * sizes `(side, id, nbins, minWin, maxWin)`, gives each side's entity
+    * count, mean history length and window range. Driver memory is
+    * O(nE + nI). The caller releases the cache with [[Stage1.unpersist]].
     */
-  def prepare(records: DataFrame, cfg: SlimConfig): Prepared = {
-    val hist = Histories.build(records, cfg.level, cfg.windowSec).cache()
-    val sizesDf = Histories.historySizes(hist)
+  def prepare(recordsE: DataFrame, recordsI: DataFrame, cfg: SlimConfig): Stage1 = {
+    val hist = Histories.buildSides(recordsE, recordsI, cfg.level, cfg.windowSec).cache()
+    val sizesDf = Histories.historySizes(hist, Seq("side", "id"))
     val sizes = sizesDf.collect()
-    val n = sizes.length.toLong
-    val mean = if (n == 0) 0.0 else sizes.map(_.getLong(1)).sum.toDouble / n
-    val local = hist.sparkSession.createDataFrame(sizes.toSeq.asJava, sizesDf.schema)
-    Prepared(hist, Histories.lengthNorm(local, cfg.bParam, mean),
-      n, mean, sizes.map(_.getLong(2)).minOption.getOrElse(Long.MaxValue),
-      sizes.map(_.getLong(3)).maxOption.getOrElse(Long.MinValue))
+    val schema = StructType(sizesDf.schema.fields.tail) // (id, nbins, minWin, maxWin)
+    def side(s: Int): Prepared = {
+      val rows = sizes.filter(_.getInt(0) == s).map(r => Row.fromSeq(r.toSeq.tail))
+      val n = rows.length.toLong
+      val mean = if (n == 0) 0.0 else rows.map(_.getLong(1)).sum.toDouble / n
+      val local = hist.sparkSession.createDataFrame(rows.toSeq.asJava, schema)
+      Prepared(hist.filter(col("side") === s).drop("side"),
+        Histories.lengthNorm(local, cfg.bParam, mean), n, mean,
+        rows.map(_.getLong(2)).minOption.getOrElse(Long.MaxValue),
+        rows.map(_.getLong(3)).maxOption.getOrElse(Long.MinValue))
+    }
+    Stage1(side(Histories.SideE), side(Histories.SideI), hist)
   }
 
   /** Cross product of the two entity id sets: every pair brute force
@@ -147,45 +182,46 @@ object Slim {
 
   /** Run SLIM over two location datasets `(id, ts, lat, lon)`.
     *
-    * Spark actions: one per dataset in [[prepare]], the collect of the LSH
-    * candidates (LSH only), and one collect of the scored pairs. When a side
-    * is empty there is no pair to score: stages 2–3 are skipped and the
-    * result has no candidates, comparisons, matches or links.
+    * Spark actions: one collect for stage 1 of both datasets ([[prepare]]),
+    * the collect of the LSH candidates (LSH only, [[Lsh.candidatePairs]]),
+    * and one collect of the scored pairs. When a side is empty there is no
+    * pair to score: stages 2–3 are skipped and the result has no
+    * candidates, comparisons, matches or links. The cached histories are
+    * released when the link returns or throws.
     */
   def link(spark: SparkSession, recordsE: DataFrame, recordsI: DataFrame,
            cfg: SlimConfig): SlimResult = {
     val t0 = System.nanoTime()
 
-    val prepE = prepare(recordsE, cfg)
-    val prepI = prepare(recordsI, cfg)
-    val bothSides = prepE.nEntities > 0 && prepI.nEntities > 0 // else no pair to score
+    val stage1 = prepare(recordsE, recordsI, cfg)
+    try {
+      val (prepE, prepI) = (stage1.e, stage1.i)
+      val bothSides = prepE.nEntities > 0 && prepI.nEntities > 0 // else no pair to score
 
-    val lshCandidates = cfg.lsh.filter(_ => bothSides).map { l =>
-      // qidx = floor(ts / (windowSec * step)) = floorDiv(win, step), so the
-      // aligned signature range comes from the windows stage 1 found.
-      val qMin = math.floorDiv(math.min(prepE.minWin, prepI.minWin), l.stepWindows.toLong)
-      val qMax = math.floorDiv(math.max(prepE.maxWin, prepI.maxWin), l.stepWindows.toLong)
-      val (_, r) = Lsh.bandsFor((qMax - qMin + 1).toInt, l.t)
-      Lsh.candidates(Lsh.signatures(recordsE, l, cfg.windowSec),
-        Lsh.signatures(recordsI, l, cfg.windowSec), qMin, r, l.numBuckets)
-        .collect().map(c => (c.getLong(0), c.getLong(1)))
-    }
-    val nCandidates = lshCandidates.fold(prepE.nEntities * prepI.nEntities)(_.length.toLong)
+      val lshCandidates = cfg.lsh.filter(_ => bothSides).map { l =>
+        // qidx = floor(ts / (windowSec * step)) = floorDiv(win, step), so the
+        // aligned signature range comes from the windows stage 1 found.
+        val qMin = math.floorDiv(math.min(prepE.minWin, prepI.minWin), l.stepWindows.toLong)
+        val qMax = math.floorDiv(math.max(prepE.maxWin, prepI.maxWin), l.stepWindows.toLong)
+        val (_, r) = Lsh.bandsFor((qMax - qMin + 1).toInt, l.t)
+        Lsh.candidatePairs(recordsE, recordsI, l, cfg.windowSec, qMin, r)
+      }
+      val nCandidates = lshCandidates.fold(prepE.nEntities * prepI.nEntities)(_.length.toLong)
 
-    val scored = if (!bothSides) Array.empty[Similarity.PairScore]
-      else scorePairs(prepE, prepI, cfg.scoreConfig, lshCandidates)
-    val comparisons = scored.iterator.map(_.comparisons).sum
-    val alibiEntityPairs = scored.count(_.alibis > 0).toLong
-    val edges = scored.iterator.filter(_.score > 0)
-      .map(p => Matching.Edge(p.uid, p.vid, p.score)).toSeq
+      val scored = if (!bothSides) Array.empty[Similarity.PairScore]
+        else scorePairs(prepE, prepI, cfg.scoreConfig, lshCandidates)
+      val comparisons = scored.iterator.map(_.comparisons).sum
+      val alibiEntityPairs = scored.count(_.alibis > 0).toLong
+      val edges = scored.iterator.filter(_.score > 0)
+        .map(p => Matching.Edge(p.uid, p.vid, p.score)).toSeq
 
-    val matched = Matching.greedy(edges)
-    val (threshold, gmm) = Gmm.stopThresholdWithFit(matched.map(_.w).toArray)
-    val links = matched.filter(_.w >= threshold).map(e => (e.u, e.v, e.w))
+      val matched = Matching.greedy(edges)
+      val (threshold, gmm) = Gmm.stopThresholdWithFit(matched.map(_.w).toArray)
+      val links = matched.filter(_.w >= threshold).map(e => (e.u, e.v, e.w))
 
-    val elapsedMs = (System.nanoTime() - t0) / 1000000L
-    prepE.unpersist(); prepI.unpersist()
-    SlimResult(links, matched, threshold, gmm, nCandidates, comparisons, alibiEntityPairs,
-      elapsedMs)
+      val elapsedMs = (System.nanoTime() - t0) / 1000000L
+      SlimResult(links, matched, threshold, gmm, nCandidates, comparisons, alibiEntityPairs,
+        elapsedMs)
+    } finally stage1.unpersist()
   }
 }

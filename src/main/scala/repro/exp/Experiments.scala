@@ -199,11 +199,9 @@ object Experiments {
     */
   def slimScores(spark: SparkSession, sc: Scenario,
                  cfg: Slim.SlimConfig): Map[(Long, Long), Double] = {
-    val e = Slim.prepare(sc.e, cfg)
-    val i = Slim.prepare(sc.i, cfg)
-    val out = Slim.scorePairs(e, i, cfg.scoreConfig).map(p => ((p.uid, p.vid), p.score)).toMap
-    e.unpersist(); i.unpersist()
-    out
+    val stage1 = Slim.prepare(sc.e, sc.i, cfg)
+    try Slim.scorePairs(stage1.e, stage1.i, cfg.scoreConfig).map(p => ((p.uid, p.vid), p.score)).toMap
+    finally stage1.unpersist()
   }
 
   /** Fig 11a/b: SLIM (LSH), SLIM-noLSH, ST-Link and GM on datasets of

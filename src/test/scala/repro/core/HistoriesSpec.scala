@@ -113,33 +113,45 @@ class HistoriesSpec extends SparkSpec {
   }
 
   test("Slim.prepare's stage 1 equals the reference idf, bins and norms") {
+    // Two datasets sharing ids 10-19 with different records: the sides must
+    // stay apart although both are binned in one relation.
+    val recordsE = records.filter(col("id") < 20)
+    val recordsI = records.filter(col("id") >= 10).withColumn("ts", col("ts") + 600)
     val cfg = Slim.SlimConfig(level = Level, windowSec = WindowSec)
-    val prep = Slim.prepare(records, cfg)
-    val hist = Histories.build(records, Level, WindowSec).cache()
+    val stage1 = Slim.prepare(recordsE, recordsI, cfg)
     try {
-      // Stage 3 counts each window's idf from the prepared histories; it
-      // must equal Spark's Eq. 3 over the whole history set bit for bit.
-      val got = prep.histories.select("win", "id", "cell").collect()
-        .groupBy(_.getLong(0)).toSeq.flatMap { case (win, rows) =>
-          val side = Similarity.windowSide(rows.iterator.map(r => (r.getLong(1), r.getLong(2))),
-            prep.nEntities)
-          side.cells.indices.map(j => (win, side.cells(j)) -> side.idf(j))
-        }
-      val want = Histories.idf(hist, Histories.nEntities(hist)).collect()
-        .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
-      assert(got.map(_._1).toSet == want.keySet)
-      for ((k, v) <- got) assert(v == want(k), s"idf of (win, cell) $k: $v vs ${want(k)}")
+      for ((name, side, input) <- Seq(("E", stage1.e, recordsE), ("I", stage1.i, recordsI))) {
+        val hist = Histories.build(input, Level, WindowSec).cache()
+        try {
+          def bins(df: DataFrame) = df.select("id", "win", "cell", "cnt").collect()
+            .map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3))).toSet
+          assert(bins(side.histories) == bins(hist), s"$name: histories")
 
-      def lens(df: DataFrame) = df.select("id", "nbins", "lnorm").collect()
-        .map(r => r.getLong(0) -> (r.getLong(1), r.getDouble(2))).toMap
-      assert(lens(prep.lens) == lens(Histories.lengthNorm(hist, cfg.bParam)))
+          // Stage 3 counts each window's idf from the prepared histories; it
+          // must equal Spark's Eq. 3 over the whole history set bit for bit.
+          val got = side.histories.select("win", "id", "cell").collect()
+            .groupBy(_.getLong(0)).toSeq.flatMap { case (win, rows) =>
+              val ws = Similarity.windowSide(rows.iterator.map(r => (r.getLong(1), r.getLong(2))),
+                side.nEntities)
+              ws.cells.indices.map(j => (win, ws.cells(j)) -> ws.idf(j))
+            }
+          val want = Histories.idf(hist, Histories.nEntities(hist)).collect()
+            .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
+          assert(got.map(_._1).toSet == want.keySet, s"$name: idf keys")
+          for ((k, v) <- got) assert(v == want(k), s"$name: idf of (win, cell) $k: $v vs ${want(k)}")
 
-      val st = Histories.historySizes(hist)
-        .agg(count(lit(1)), avg("nbins"), min("minWin"), max("maxWin")).first()
-      assert(prep.nEntities == st.getLong(0))
-      assert(prep.meanLength == st.getDouble(1))
-      assert(prep.minWin == st.getLong(2) && prep.maxWin == st.getLong(3))
-    } finally { prep.unpersist(); hist.unpersist() }
+          def lens(df: DataFrame) = df.select("id", "nbins", "lnorm").collect()
+            .map(r => r.getLong(0) -> (r.getLong(1), r.getDouble(2))).toMap
+          assert(lens(side.lens) == lens(Histories.lengthNorm(hist, cfg.bParam)), s"$name: lens")
+
+          val st = Histories.historySizes(hist)
+            .agg(count(lit(1)), avg("nbins"), min("minWin"), max("maxWin")).first()
+          assert(side.nEntities == st.getLong(0), name)
+          assert(side.meanLength == st.getDouble(1), name)
+          assert(side.minWin == st.getLong(2) && side.maxWin == st.getLong(3), name)
+        } finally hist.unpersist()
+      }
+    } finally stage1.unpersist()
   }
 
   test("windows respect the configured width") {

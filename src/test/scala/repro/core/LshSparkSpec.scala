@@ -161,4 +161,62 @@ class LshSparkSpec extends SparkSpec {
       .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(loose.size >= strict.size)
   }
+
+  test("property: the dominating-cell rule equals the HistoryTree's query") {
+    val rnd = new scala.util.Random(20261019L)
+    for (_ <- 1 to 2000) {
+      // Few cells and few records, so equal counts are common.
+      val obs = Seq.fill(1 + rnd.nextInt(8))((rnd.nextInt(3).toLong, rnd.nextInt(4).toLong + 7))
+      val counts = obs.groupMapReduce(_._2)(_ => 1L)(_ + _)
+      val tree = HistoryTree.build(obs)
+      assert(tree.dominatingCell(tree.winMin, tree.winMax).contains(Lsh.dominatingCell(counts)),
+        s"observations $obs")
+      // signatureOf with the window index as the query index: one query
+      // window per leaf window.
+      for ((q, cell) <- Lsh.signatureOf(obs.iterator))
+        assert(tree.dominatingCell(q, q).contains(cell), s"window $q of $obs")
+    }
+  }
+
+  test("property: the one-pass LSH candidates equal the reference composition") {
+    val rnd = new scala.util.Random(20261020L)
+    val qSec = WindowSec * cfg.stepWindows
+    // Five places, two of them in one sigLevel-12 cell, so dominating cells
+    // repeat across entities and bands collide.
+    val places = Seq((10.0, 10.0), (10.001, 10.001), (10.3, 10.2), (-33.9, 151.2), (40.7, -74.0))
+    def entity(id: Long): Seq[(Long, Long, Double, Double)] = {
+      val tie = rnd.nextInt(4) == 0
+      Seq.fill(1 + rnd.nextInt(9)) {
+        val q = rnd.nextInt(13) - 6L // negative query indices too; gaps are common
+        val ts = q * qSec + (if (rnd.nextBoolean()) 0L else rnd.nextInt(qSec.toInt).toLong)
+        val (lat, lon) = places(rnd.nextInt(places.size))
+        (id, ts, lat, lon)
+      } ++ (if (!tie) Nil else { // equal counts for two cells in one query window
+        val q = rnd.nextInt(13) - 6L
+        Seq((id, q * qSec, 10.0, 10.0), (id, q * qSec + 1, -33.9, 151.2))
+      })
+    }
+    val shapes = for (trial <- 1 to 6) yield {
+      // Ids 6-11 are on both sides, 0-5 only in E and 12-17 only in I.
+      val e = recordsDf(spark, (0L to 11L).flatMap(entity))
+      val i = recordsDf(spark, (6L to 17L).flatMap(entity))
+      val numBuckets = Seq(3, 64, 4096)(trial % 3)
+      val r = 2 + trial % 2
+      val c = cfg.copy(numBuckets = numBuckets)
+      val sigE = Lsh.signatures(e, c, WindowSec)
+      val sigI = Lsh.signatures(i, c, WindowSec)
+      val q = sigE.select("qidx").union(sigI.select("qidx")).agg(min("qidx"), max("qidx")).first()
+      val (qMin, sigLen) = (q.getLong(0), q.getLong(1) - q.getLong(0) + 1)
+      val want = Lsh.candidates(sigE, sigI, qMin, r, numBuckets).collect()
+        .map(x => (x.getLong(0), x.getLong(1))).toSet
+      val got = Lsh.candidatePairs(e, i, c, WindowSec, qMin, r)
+      assert(got.length == got.toSet.size, s"trial $trial: duplicate pairs")
+      assert(got.toSet == want, s"trial $trial: r $r, $numBuckets buckets, signature length $sigLen")
+      assert(want.nonEmpty, s"trial $trial")
+      (sigLen, r)
+    }
+    // Several bands each time, and at least once a short last band.
+    assert(shapes.forall { case (len, r) => len > r } && shapes.exists { case (len, r) => len % r != 0 },
+      s"(signature length, r): $shapes")
+  }
 }

@@ -22,9 +22,8 @@ class SimilarityPipelineSpec extends SparkSpec {
   /** `f` over both datasets after stage 1 ([[Slim.prepare]]). */
   private def withPrepared[T](recordsE: DataFrame, recordsI: DataFrame)
                              (f: (Slim.Prepared, Slim.Prepared) => T): T = {
-    val e = Slim.prepare(recordsE, PrepCfg)
-    val i = Slim.prepare(recordsI, PrepCfg)
-    try f(e, i) finally { e.unpersist(); i.unpersist() }
+    val stage1 = Slim.prepare(recordsE, recordsI, PrepCfg)
+    try f(stage1.e, stage1.i) finally stage1.unpersist()
   }
 
   /** Scored rows as `(uid, vid) -> (score, comparisons, alibis)`. */

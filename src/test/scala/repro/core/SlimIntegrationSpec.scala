@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.CachedPlans
 import repro.SparkSpec
 import repro.mobility.MobilityGen
 import TestSupport.recordsDf
@@ -139,5 +141,69 @@ class SlimIntegrationSpec extends SparkSpec {
     val bi = binsPerWindow(pair.i)
     val expected = be.iterator.map { case (win, n) => n * bi.getOrElse(win, 0L) }.sum
     assert(bf.comparisons == expected)
+  }
+
+  /** Spark jobs started while `body` runs. Listener events arrive
+    * asynchronously, so a marker job in a group of its own runs afterwards
+    * and the count is read once the listener has seen it.
+    */
+  private def jobsDuring(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val group = s"slim-jobs-${System.nanoTime()}"
+    val marker = s"$group-marker"
+    val jobs = new java.util.concurrent.atomic.AtomicInteger
+    val seen = scala.concurrent.Promise[Unit]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull match {
+          case `group`  => jobs.incrementAndGet()
+          case `marker` => seen.trySuccess(())
+          case _        =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "counted")
+      try body finally sc.clearJobGroup()
+      sc.setJobGroup(marker, "marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      scala.concurrent.Await.result(seen.future, scala.concurrent.duration.Duration(60, "s"))
+      jobs.get
+    } finally sc.removeSparkListener(listener)
+  }
+
+  /** Two entities per dataset, each pair co-located in the same 16 windows:
+    * an input that takes every step of both paths at little cost.
+    */
+  private lazy val (smallE, smallI) = {
+    def entity(id: Long, lat: Double) = (0 until 16).map(k => (id, k * 900L + 10, lat, 10.0))
+    (recordsDf(spark, entity(1, 10.0) ++ entity(2, 40.0)),
+      recordsDf(spark, entity(101, 10.0) ++ entity(102, 40.0)))
+  }
+
+  test("a warm link runs at most 6 Spark jobs (brute force) and 9 (LSH)") {
+    // Stage 1 of both datasets is one job chain, so is the LSH pass.
+    val runs = for (c <- Seq(cfg, lshCfg)) yield {
+      Slim.link(spark, smallE, smallI, c) // warm-up, not counted
+      var r: Slim.SlimResult = null
+      (jobsDuring { r = Slim.link(spark, smallE, smallI, c) }, r)
+    }
+    val Seq((bfJobs, bfRun), (lshJobs, lshRun)) = runs
+    assert(bfRun.links.nonEmpty && lshRun.nCandidates > 0)
+    assert(bfJobs <= 6, s"brute force: $bfJobs jobs")
+    assert(lshJobs <= 9, s"LSH: $lshJobs jobs")
+  }
+
+  test("a link that throws leaves no histories cached") {
+    def cached = (CachedPlans.count(spark), spark.sparkContext.getPersistentRDDs.keySet)
+    val before = cached
+    // A NaN latitude fails stage 1's cell UDF; an LSH level beyond the grid
+    // fails stage 2, after stage 1 has cached the histories.
+    val nan = recordsDf(spark, Seq((1L, 0L, Double.NaN, 10.0), (1L, 900L, 10.0, 10.0)))
+    intercept[Exception](Slim.link(spark, nan, smallI, cfg))
+    assert(cached == before, "after a stage-1 failure")
+    intercept[Exception](Slim.link(spark, smallE, smallI,
+      cfg.copy(lsh = Some(Lsh.LshConfig(sigLevel = Grid.MaxLevel + 1)))))
+    assert(cached == before, "after a stage-2 failure")
   }
 }
