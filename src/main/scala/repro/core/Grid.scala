@@ -39,10 +39,12 @@ object Grid {
   def yOf(cell: Long): Int     = (cell & 0x1fffffff).toInt
 
   /** Cell id of the given point at the given level. Longitude 180 wraps to
-    * -180; latitude 90 is clamped into the top row.
+    * -180; latitude 90 is clamped into the top row. A latitude outside
+    * [-90, 90] or a non-finite coordinate is rejected.
     */
   def cellOf(lat: Double, lon: Double, level: Int): Long = {
     require(lat >= -90 && lat <= 90, s"lat $lat out of range")
+    require(java.lang.Double.isFinite(lon), s"lon $lon is not finite")
     val n = 1 << level
     val lonN = { val m = ((lon + 180.0) % 360.0 + 360.0) % 360.0; m } // [0, 360)
     val x = math.min(n - 1, (lonN / 360.0 * n).toInt)

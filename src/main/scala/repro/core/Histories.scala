@@ -91,27 +91,22 @@ object Histories {
 
   /** BM25-style history length normalization (paper Eq. 2):
     * `L(u) = (1-b) + b * |H_u| / avg|H|`. Output: `(id, nbins, lnorm)`.
+    * The reference for [[Slim.prepare]]'s norms, which evaluate the same
+    * expression on the driver.
     */
   def lengthNorm(hist: DataFrame, b: Double): DataFrame = {
-    val sizes = historySizes(hist)
-    lengthNorm(sizes, b, sizes.agg(avg("nbins")).first().getDouble(0))
-  }
-
-  /** Eq. 2's norm over `(id, nbins, ...)` rows from [[historySizes]], given
-    * the mean history length `avgBins`. Output: `(id, nbins, lnorm)`.
-    */
-  def lengthNorm(sizes: DataFrame, b: Double, avgBins: Double): DataFrame = {
     require(b >= 0 && b <= 1, s"b=$b out of [0,1]")
+    val sizes = historySizes(hist)
+    val avgBins = sizes.agg(avg("nbins")).first().getDouble(0)
     sizes.select(col("id"), col("nbins"),
       (lit(1.0 - b) + lit(b) * col("nbins") / lit(avgBins)).as("lnorm"))
   }
 
   /** History length |H_u| per entity, with the entity's first and last
-    * window, per distinct `keys` (the entity id, or `(side, id)` over
-    * [[buildSides]]' histories): `(keys..., nbins, minWin, maxWin)`.
+    * window: `(id, nbins, minWin, maxWin)`.
     */
-  def historySizes(hist: DataFrame, keys: Seq[String] = Seq("id")): DataFrame =
-    hist.groupBy(keys.map(col): _*).agg(count(lit(1)).as("nbins"), min("win").as("minWin"),
+  def historySizes(hist: DataFrame): DataFrame =
+    hist.groupBy("id").agg(count(lit(1)).as("nbins"), min("win").as("minWin"),
       max("win").as("maxWin"))
 
   /** Bins of one entity per window with the per-bin idf attached and collected

@@ -119,9 +119,11 @@ object Lsh {
     * The records of both datasets, tagged with their side
     * ([[Histories.tagSides]]), are grouped once by `(side, id)`; each entity's
     * signature ([[signatureOf]]) and band buckets ([[bandBuckets]]) are
-    * computed in memory. A second grouping by `(band, bucket)` emits every
-    * E×I pair of a bucket, and the driver drops the pairs that share more
-    * than one bucket. Three Spark jobs: the two shuffles and the collect.
+    * computed in memory, and its `(band, bucket, side, id)` rows are
+    * collected. The driver groups them by `(band, bucket)` and emits every
+    * E×I pair of a bucket once, however many buckets the pair shares. Two
+    * Spark jobs: the shuffle and the collect. Driver memory is the number of
+    * bands over all entities.
     *
     * @param qMin the smallest query index across both datasets
     * @param r    rows per band, from [[bandsFor]]
@@ -143,12 +145,15 @@ object Lsh {
           (band, bucket, entity._1, entity._2)
         }
       }
-      .groupByKey(x => (x._1, x._2))
-      .flatMapGroups { (_, members) =>
-        val (es, is) = members.toArray.partition(_._3 == Histories.SideE)
+      .collect()
+      .groupBy(x => (x._1, x._2))
+      .valuesIterator
+      .flatMap { members =>
+        val (es, is) = members.partition(_._3 == Histories.SideE)
         for (u <- es.iterator; v <- is.iterator) yield (u._4, v._4)
       }
-      .collect().distinct
+      .distinct
+      .toArray
   }
 
   /** Dominating-cell signature entries straight from the records — the

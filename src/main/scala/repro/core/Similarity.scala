@@ -268,13 +268,15 @@ object Similarity {
     * histories `(id, win, cell, ...)` from [[Histories.build]].
     *
     * The histories are grouped by `win` and cogrouped, so on histories
-    * partitioned by window this needs no exchange. Per window, each side's
-    * idf is counted among its rows ([[windowSide]]) and every cross pair
-    * `(u, v)` is scored by one [[Kernel]]; with `candidates` (an index from
-    * [[candidateIndex]]) only the candidate pairs are scored. The partial
-    * `(uid, vid, raw, comparisons, alibis)` rows are summed once by
-    * `(uid, vid)`: one row per pair that shares a window, unnormalized (the
-    * caller divides by `L(u) L(v)`).
+    * partitioned by window this plans no exchange at all. Per window, each
+    * side's idf is counted among its rows ([[windowSide]]) and every cross
+    * pair `(u, v)` is scored by one [[Kernel]]; with `candidates` (an index
+    * from [[candidateIndex]]) only the candidate pairs are scored. Each
+    * partition sums its windows' `(raw, comparisons, alibis)` per pair, in
+    * window order, and emits one `(uid, vid, raw, comparisons, alibis)` row
+    * per pair it saw: a pair's rows from all partitions add up to its
+    * unnormalized totals, which the caller sums ([[Slim.scorePairs]]) and
+    * divides by `L(u) L(v)`.
     */
   def scoreWindows(histE: DataFrame, histI: DataFrame, nE: Long, nI: Long, cfg: ScoreConfig,
                    candidates: Option[Broadcast[Map[Long, Array[Long]]]] = None): DataFrame = {
@@ -305,9 +307,16 @@ object Similarity {
         }
         out.iterator
       }
+    }.mapPartitions { windows =>
+      val sums = mutable.HashMap.empty[(Long, Long), (Double, Long, Long)]
+      for ((u, v, raw, comparisons, alibis) <- windows) sums.updateWith((u, v)) {
+        case Some((r, c, a)) => Some((r + raw, c + comparisons, a + alibis))
+        case None            => Some((raw, comparisons, alibis))
+      }
+      sums.iterator.map { case ((u, v), (raw, comparisons, alibis)) =>
+        (u, v, raw, comparisons, alibis)
+      }
     }.toDF("uid", "vid", "raw", "comparisons", "alibis")
-      .groupBy("uid", "vid")
-      .agg(sum("raw").as("raw"), sum("comparisons").as("comparisons"), sum("alibis").as("alibis"))
   }
 
   /** Reference edge scoring: the row join on the shared window. It is not

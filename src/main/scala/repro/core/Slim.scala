@@ -1,37 +1,38 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.StructType
 
-import scala.jdk.CollectionConverters._
+import scala.collection.mutable
 
 /** End-to-end SLIM pipeline (paper Alg. 1 + §3.2 + §4).
   *
-  * Stages, all DataFrame transformations until the per-edge reduction:
+  * Stages, all DataFrame transformations until each reduction whose result
+  * the driver needs; such a reduction is done per partition on the
+  * executors and finished on the driver, so no shuffle only feeds a collect:
   *  1. mobility histories + BM25 length norms of both datasets at once
   *     ([[prepare]]): the records are tagged with their side, one shuffle
   *     partitions both datasets' histories by window, which stage 3 reuses,
-  *     and one collect of the per-entity history sizes (driver memory
-  *     O(nE + nI)) gives the counts and the norms;
+  *     and the per-entity history sizes are counted per partition and
+  *     merged on the driver into the counts and the norms;
   *  2. candidate pairs from dominating-cell banding LSH
   *     ([[Lsh.candidatePairs]]): one grouping of both datasets' records by
-  *     entity computes every signature and its band buckets, a second by
-  *     bucket pairs E with I, and the pairs are collected to the driver;
-  *     brute force has no candidate list, since every pair sharing a window
-  *     is scored;
+  *     entity computes every signature and its band buckets, which are
+  *     collected; the driver pairs E with I per bucket. Brute force has no
+  *     candidate list, since every pair sharing a window is scored;
   *  3. per-window scoring ([[scorePairs]]): each window of the two cached
   *     histories is cogrouped, its idf counted and every cross pair (the LSH
-  *     candidates only, if any) scored by one primitive kernel; the partial
-  *     sums are added up by pair and collected once, and the driver divides
-  *     by the length norms;
+  *     candidates only, if any) scored by one primitive kernel; each
+  *     partition sums its windows' partials per pair, and the driver adds up
+  *     the partitions' sums and divides by the length norms;
   *  4. (driver) greedy maximum-weight bipartite matching;
   *  5. (driver) GMM stop-threshold over matched edge weights; links above the
   *     threshold are the output.
   *
-  * So a link runs at most three Spark actions: one collect for stage 1 of
-  * both datasets, one LSH candidate collect (LSH only) and one scored-pair
-  * collect.
+  * So a link runs one Spark action per collect: stage 1 of both datasets,
+  * the LSH band buckets (LSH only) and the scored pairs. Each shuffle map
+  * stage runs as a Spark job of its own, and so does the cached histories'
+  * final stage: a warm link runs 4 Spark jobs on brute force and 6 on LSH.
   */
 object Slim {
 
@@ -87,14 +88,15 @@ object Slim {
     * The per-dataset reference is [[Histories.build]] of its records with
     * [[Histories.idf]] and [[Histories.lengthNorm]]: the tests and the
     * benchmark's staged trace compare against those, and `histories`, the
-    * idf counted from it and `lens` equal them.
+    * idf counted from it and `norms` equal them.
     *
     * @param histories  the dataset's leaf bins `(id, win, cell, cnt)`: its
     *                   side of [[Stage1.histories]], so partitioned by window
     *                   and cached until [[Stage1.unpersist]]; stage 3 counts
     *                   the idf (Eq. 3) per window from them
-    * @param lens       BM25 length norms from [[Histories.lengthNorm]], over a
-    *                   local DataFrame of the collected history sizes
+    * @param norms      BM25 length norm L(u) (Eq. 2) of every entity, on the
+    *                   driver; bit for bit the `lnorm` of
+    *                   [[Histories.lengthNorm]]
     * @param nEntities  number of entities with at least one record (0 for an
     *                   empty dataset)
     * @param meanLength mean history length avg|H| (bins per entity), Eq. 2's
@@ -104,7 +106,7 @@ object Slim {
     * @param maxWin     last window any entity occupies (Long.MinValue when
     *                   empty)
     */
-  final case class Prepared(histories: DataFrame, lens: DataFrame,
+  final case class Prepared(histories: DataFrame, norms: Map[Long, Double],
                             nEntities: Long, meanLength: Double, minWin: Long, maxWin: Long)
 
   /** Stage 1 of both datasets, from one Spark plan.
@@ -123,25 +125,41 @@ object Slim {
   /** Stage 1 for both datasets: their histories and their length norms
     * (Eq. 2). The two record sets are tagged with their side and binned
     * together ([[Histories.buildSides]]): one shuffle by window and one
-    * cache serve both. One Spark action, a collect of the per-entity history
-    * sizes `(side, id, nbins, minWin, maxWin)`, gives each side's entity
-    * count, mean history length and window range. Driver memory is
-    * O(nE + nI). The caller releases the cache with [[Stage1.unpersist]].
+    * cache serve both. One Spark action collects the per-entity history
+    * sizes `(side, id, nbins, minWin, maxWin)`, each partition's own; the
+    * driver merges them (count sum, min, max: exact) into each side's entity
+    * count, mean history length, window range and norms. Driver memory is
+    * O((nE + nI) P) for P partitions. The caller releases the cache with
+    * [[Stage1.unpersist]].
     */
   def prepare(recordsE: DataFrame, recordsI: DataFrame, cfg: SlimConfig): Stage1 = {
+    require(cfg.bParam >= 0 && cfg.bParam <= 1, s"b=${cfg.bParam} out of [0,1]")
     val hist = Histories.buildSides(recordsE, recordsI, cfg.level, cfg.windowSec).cache()
-    val sizesDf = Histories.historySizes(hist, Seq("side", "id"))
-    val sizes = sizesDf.collect()
-    val schema = StructType(sizesDf.schema.fields.tail) // (id, nbins, minWin, maxWin)
+    val spark = hist.sparkSession
+    import spark.implicits._
+    val sizes = hist.select("side", "id", "win").as[(Int, Long, Long)]
+      .mapPartitions { rows =>
+        val part = mutable.HashMap.empty[(Int, Long), (Long, Long, Long)]
+        for ((s, id, win) <- rows) part.updateWith((s, id)) {
+          case Some((n, lo, hi)) => Some((n + 1, math.min(lo, win), math.max(hi, win)))
+          case None              => Some((1L, win, win))
+        }
+        part.iterator.map { case ((s, id), (n, lo, hi)) => (s, id, n, lo, hi) }
+      }
+      .collect()
+      .groupMapReduce(r => (r._1, r._2))(r => (r._3, r._4, r._5)) { (a, b) =>
+        (a._1 + b._1, math.min(a._2, b._2), math.max(a._3, b._3))
+      }
     def side(s: Int): Prepared = {
-      val rows = sizes.filter(_.getInt(0) == s).map(r => Row.fromSeq(r.toSeq.tail))
-      val n = rows.length.toLong
-      val mean = if (n == 0) 0.0 else rows.map(_.getLong(1)).sum.toDouble / n
-      val local = hist.sparkSession.createDataFrame(rows.toSeq.asJava, schema)
+      val rows = sizes.collect { case ((`s`, id), size) => id -> size }
+      val n = rows.size.toLong
+      val mean = if (n == 0) 0.0 else rows.valuesIterator.map(_._1).sum.toDouble / n
+      // Histories.lengthNorm's column expression, in its operation order.
+      val b = cfg.bParam
       Prepared(hist.filter(col("side") === s).drop("side"),
-        Histories.lengthNorm(local, cfg.bParam, mean), n, mean,
-        rows.map(_.getLong(2)).minOption.getOrElse(Long.MaxValue),
-        rows.map(_.getLong(3)).maxOption.getOrElse(Long.MinValue))
+        rows.map { case (id, (nbins, _, _)) => id -> ((1.0 - b) + b * nbins / mean) }, n, mean,
+        rows.valuesIterator.map(_._2).minOption.getOrElse(Long.MaxValue),
+        rows.valuesIterator.map(_._3).maxOption.getOrElse(Long.MinValue))
     }
     Stage1(side(Histories.SideE), side(Histories.SideI), hist)
   }
@@ -158,9 +176,11 @@ object Slim {
 
   /** Stage 3: every pair of `e` and `i` entities that shares a window (only
     * the `candidates`, if given) with its score and cost counters, from one
-    * collect of [[Similarity.scoreWindows]]. The candidates reach the tasks
-    * as a broadcast index. The norms are collected from the local `lens`
-    * (no Spark job) and applied on the driver: `raw / (L(u) L(v))`.
+    * collect of [[Similarity.scoreWindows]]' per-partition sums. The
+    * candidates reach the tasks as a broadcast index. The driver adds up
+    * each pair's partition sums in partition order and divides by the norms:
+    * `raw / (L(u) L(v))`. Driver memory is O(pairs sharing a window · P)
+    * for P partitions.
     */
   def scorePairs(e: Prepared, i: Prepared, cfg: Similarity.ScoreConfig,
                  candidates: Option[Array[(Long, Long)]] = None): Array[Similarity.PairScore] = {
@@ -170,21 +190,21 @@ object Slim {
       try Similarity.scoreWindows(e.histories, i.histories, e.nEntities, i.nEntities, cfg, index)
         .collect()
       finally index.foreach(_.destroy())
-    def norms(p: Prepared) =
-      p.lens.select("id", "lnorm").collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
-    val (lu, lv) = (norms(e), norms(i))
-    rows.map { r =>
-      val (u, v, raw) = (r.getLong(0), r.getLong(1), r.getDouble(2))
-      Similarity.PairScore(u, v, if (cfg.useNorm) raw / (lu(u) * lv(v)) else raw,
-        r.getLong(3), r.getLong(4))
+    val sums = rows.groupMapReduce(r => (r.getLong(0), r.getLong(1)))(
+      r => (r.getDouble(2), r.getLong(3), r.getLong(4))) { (a, b) =>
+      (a._1 + b._1, a._2 + b._2, a._3 + b._3)
     }
+    sums.iterator.map { case ((u, v), (raw, comparisons, alibis)) =>
+      Similarity.PairScore(u, v, if (cfg.useNorm) raw / (e.norms(u) * i.norms(v)) else raw,
+        comparisons, alibis)
+    }.toArray
   }
 
   /** Run SLIM over two location datasets `(id, ts, lat, lon)`.
     *
     * Spark actions: one collect for stage 1 of both datasets ([[prepare]]),
-    * the collect of the LSH candidates (LSH only, [[Lsh.candidatePairs]]),
-    * and one collect of the scored pairs. When a side is empty there is no
+    * the collect of the LSH band buckets (LSH only, [[Lsh.candidatePairs]]),
+    * and one collect of the per-partition pair sums ([[scorePairs]]). When a side is empty there is no
     * pair to score: stages 2–3 are skipped and the result has no
     * candidates, comparisons, matches or links. The cached histories are
     * released when the link returns or throws.

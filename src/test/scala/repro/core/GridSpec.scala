@@ -66,6 +66,15 @@ class GridSpec extends AnyFunSuite {
     assert(Grid.cellOf(0, 180.0, 8) == Grid.cellOf(0, -180.0, 8))
   }
 
+  test("a non-finite longitude is rejected; finite ones still wrap") {
+    // NaN.toInt == 0 would otherwise put the point in the lon -180 column.
+    for (lon <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity))
+      intercept[IllegalArgumentException](Grid.cellOf(10.0, lon, 8))
+    val west = Grid.cellOf(10.0, -180.0, 8)
+    assert(Grid.xOf(west) == 0)
+    assert(Grid.cellOf(10.0, 180.0, 8) == west && Grid.cellOf(10.0, 540.0, 8) == west)
+  }
+
   test("latitude 90 clamps into the top row") {
     assert(Grid.yOf(Grid.cellOf(90.0, 0, 8)) == 255)
   }

@@ -140,9 +140,13 @@ class HistoriesSpec extends SparkSpec {
           assert(got.map(_._1).toSet == want.keySet, s"$name: idf keys")
           for ((k, v) <- got) assert(v == want(k), s"$name: idf of (win, cell) $k: $v vs ${want(k)}")
 
-          def lens(df: DataFrame) = df.select("id", "nbins", "lnorm").collect()
-            .map(r => r.getLong(0) -> (r.getLong(1), r.getDouble(2))).toMap
-          assert(lens(side.lens) == lens(Histories.lengthNorm(hist, cfg.bParam)), s"$name: lens")
+          // The driver-side norms evaluate Eq. 2 as Spark does, bit for bit.
+          val norms = Histories.lengthNorm(hist, cfg.bParam).select("id", "lnorm").collect()
+            .map(r => r.getLong(0) -> r.getDouble(1)).toMap
+          assert(side.norms.keySet == norms.keySet, s"$name: norm ids")
+          for ((id, l) <- norms) assert(
+            java.lang.Double.doubleToRawLongBits(side.norms(id)) ==
+              java.lang.Double.doubleToRawLongBits(l), s"$name: norm of $id: ${side.norms(id)} vs $l")
 
           val st = Histories.historySizes(hist)
             .agg(count(lit(1)), avg("nbins"), min("minWin"), max("maxWin")).first()

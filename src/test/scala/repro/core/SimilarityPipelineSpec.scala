@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.expressions.Expression
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
@@ -26,6 +25,9 @@ class SimilarityPipelineSpec extends SparkSpec {
     try f(stage1.e, stage1.i) finally stage1.unpersist()
   }
 
+  /** The reference norms `(id, nbins, lnorm)` of a prepared dataset. */
+  private def refNorms(p: Slim.Prepared): DataFrame = Histories.lengthNorm(p.histories, BParam)
+
   /** Scored rows as `(uid, vid) -> (score, comparisons, alibis)`. */
   private def scoredRows(df: DataFrame): Map[(Long, Long), (Double, Long, Long)] =
     df.collect()
@@ -35,7 +37,8 @@ class SimilarityPipelineSpec extends SparkSpec {
                        cfg: Similarity.ScoreConfig): Map[(Long, Long), Double] =
     withPrepared(recordsE, recordsI) { (e, i) =>
       scoredRows(Similarity.scoreEdges(refBins(e), refBins(i),
-        Slim.allPairsCandidates(recordsE, recordsI), e.lens, i.lens, cfg)).map { case (k, v) => k -> v._1 }
+        Slim.allPairsCandidates(recordsE, recordsI), refNorms(e), refNorms(i), cfg))
+        .map { case (k, v) => k -> v._1 }
     }
 
   private def localScoreAll(rowsE: Seq[(Long, Long, Double, Double)],
@@ -107,10 +110,11 @@ class SimilarityPipelineSpec extends SparkSpec {
         import spark.implicits._
         Seq(
           "all pairs" -> (rows(Slim.scorePairs(e, i, cfg)), scoredRows(Similarity.scoreEdges(
-            refBins(e), refBins(i), Slim.allPairsCandidates(pair.e, pair.i), e.lens, i.lens, cfg))),
+            refBins(e), refBins(i), Slim.allPairsCandidates(pair.e, pair.i), refNorms(e),
+            refNorms(i), cfg))),
           "LSH candidates" -> (rows(Slim.scorePairs(e, i, cfg, Some(candidates))),
             scoredRows(Similarity.scoreEdges(refBins(e), refBins(i),
-              candidates.toSeq.toDF("uid", "vid"), e.lens, i.lens, cfg))))
+              candidates.toSeq.toDF("uid", "vid"), refNorms(e), refNorms(i), cfg))))
       }
       for ((input, (windows, viaCandidates)) <- cases) {
         assert(windows.nonEmpty, input)
@@ -127,26 +131,53 @@ class SimilarityPipelineSpec extends SparkSpec {
   for (path <- Seq("brute-force", "LSH")) {
     test(s"$path scoring adds no shuffle keyed on the window") {
       // Stage 1 partitions the histories by window; the per-window cogroup
-      // of stage 3 must reuse that partitioning.
+      // of stage 3 must reuse that partitioning, and the per-pair sums are
+      // finished on the driver: stage 3 plans no exchange at all.
       val pair = genPair(8, 50, 0.7)
       val cfg = Similarity.ScoreConfig(runawayKm = Proximity.runawayKm(WindowSec, 2.0))
       val candidates = if (path == "LSH") Some(lshCandidates(pair.e, pair.i)) else None
-      val shuffleKeys = withPrepared(pair.e, pair.i) { (e, i) =>
+      val shuffles = withPrepared(pair.e, pair.i) { (e, i) =>
         val index = candidates.map(c => spark.sparkContext.broadcast(Similarity.candidateIndex(c)))
         val scored = Similarity.scoreWindows(e.histories, i.histories, e.nEntities, i.nEntities,
           cfg, index)
         assert(scored.collect().nonEmpty)
         index.foreach(_.destroy())
         object Plan extends AdaptiveSparkPlanHelper
-        Plan.collect(scored.queryExecution.executedPlan) {
-          case s: ShuffleExchangeExec => s.outputPartitioning match {
-            case p: Expression => p.references.map(_.name).toSet
-            case _             => Set.empty[String]
-          }
+        Plan.collect(scored.queryExecution.executedPlan) { case s: ShuffleExchangeExec => s }
+      }
+      assert(shuffles.isEmpty, s"stage 3 shuffles: ${shuffles.map(_.outputPartitioning)}")
+    }
+  }
+
+  test("stage 1 and stage 3 do not depend on the partition count") {
+    // Each partition reduces its own rows and the driver merges them, so the
+    // counts, the norms and every pair's counters are exact at any partition
+    // count; only the order of a pair's floating-point additions moves.
+    val (pair, candidates) = (equivPair, equivCandidates)
+    val cfg = Similarity.ScoreConfig(runawayKm = Proximity.runawayKm(WindowSec, 2.0))
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    val runs = try for (n <- Seq(1, 7, 64)) yield {
+      spark.conf.set(key, n.toString)
+      withPrepared(pair.e, pair.i) { (e, i) =>
+        def stats(p: Slim.Prepared) = (p.nEntities, p.meanLength, p.minWin, p.maxWin, p.norms)
+        def rows(c: Option[Array[(Long, Long)]]) = Slim.scorePairs(e, i, cfg, c)
+          .map(p => (p.uid, p.vid) -> (p.score, p.comparisons, p.alibis)).toMap
+        (n, stats(e), stats(i), rows(None), rows(Some(candidates)))
+      }
+    } finally spark.conf.set(key, saved)
+    val (_, e0, i0, all0, some0) = runs.head
+    assert(all0.nonEmpty && some0.nonEmpty && some0.size < all0.size)
+    for ((n, e, i, all, some) <- runs.tail) {
+      assert(e == e0 && i == i0, s"stage 1 at $n partitions")
+      for ((name, got, want) <- Seq(("all pairs", all, all0), ("candidates", some, some0))) {
+        assert(got.keySet == want.keySet, s"$name at $n partitions: pairs")
+        for ((k, (s, comps, alibis)) <- got) {
+          val (s0, comps0, alibis0) = want(k)
+          assert(comps == comps0 && alibis == alibis0, s"$name at $n partitions, pair $k counters")
+          assert(math.abs(s - s0) <= 1e-12 * math.abs(s0), s"$name at $n partitions, pair $k: $s vs $s0")
         }
       }
-      assert(shuffleKeys.nonEmpty, "the per-pair aggregation shuffles")
-      assert(!shuffleKeys.exists(_.contains("win")), s"shuffle keys: $shuffleKeys")
     }
   }
 
