@@ -15,15 +15,11 @@ class T10TuningBench extends SparkSpec {
     rho = 0.5, p = 0.5)
   private lazy val smSc = smScenario(spark, n = 150, recsPerEntity = 24, days = 8,
     rho = 0.5, p = 0.5)
-  private lazy val rows = tuningStudy(spark,
+  private lazy val rows = tuningStudy(
     Seq("cab" -> cabSc, "sm" -> smSc), windowSec = 900, levels = levels)
 
   test("T10: tuning table") {
-    Experiments.printTable(
-      "T10 auto spatial-level tuning (window 15 min)",
-      Seq("dataset", "chosenLevel", "curve"),
-      rows.map(r => Seq(r.dataset, r.chosenLevel,
-        r.curve.map { case (l, v) => f"$l:$v%.3f" }.mkString(" "))))
+    Experiments.printTable("T10 auto spatial-level tuning (window 15 min)", rows)
     assert(rows.size == 2)
   }
 

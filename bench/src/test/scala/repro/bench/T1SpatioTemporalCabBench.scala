@@ -19,10 +19,7 @@ class T1SpatioTemporalCabBench extends SparkSpec {
 
   test("T1: sweep table (Fig 4)") {
     Experiments.printTable(
-      s"T1 Fig4 Cab ${sc.name}: accuracy/cost vs (level, window)",
-      Seq("level", "winMin", "precision", "recall", "f1", "alibiPairs", "comparisons"),
-      rows.map(r => Seq(r.level, r.windowMin, r.precision, r.recall, r.f1,
-        r.alibiPairs, r.comparisons)))
+      s"T1 Fig4 Cab ${sc.name}: accuracy/cost vs (level, window)", rows)
     assert(rows.size == levels.size * windows.size)
   }
 

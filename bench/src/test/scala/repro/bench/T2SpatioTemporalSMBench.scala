@@ -18,10 +18,7 @@ class T2SpatioTemporalSMBench extends SparkSpec {
 
   test("T2: sweep table (Fig 5)") {
     Experiments.printTable(
-      s"T2 Fig5 SM ${sc.name}: accuracy/cost vs (level, window)",
-      Seq("level", "winMin", "precision", "recall", "f1", "alibiPairs", "comparisons"),
-      rows.map(r => Seq(r.level, r.windowMin, r.precision, r.recall, r.f1,
-        r.alibiPairs, r.comparisons)))
+      s"T2 Fig5 SM ${sc.name}: accuracy/cost vs (level, window)", rows)
     assert(rows.size == levels.size * windows.size)
   }
 

@@ -13,15 +13,11 @@ class T3GmmThresholdBench extends SparkSpec {
   private lazy val sc = cabScenario(spark, n = 50, recsPerEntity = 300, days = 2,
     rho = 0.5, p = 0.5)
   private val levels = Seq(4, 8, 12, 16)
-  private lazy val rows = gmmThresholdStudy(spark, sc, levels, windowMin = 90)
+  private lazy val rows = gmmThresholdStudy(spark, sc, levels)
 
   test("T3: GMM fit table (Fig 6)") {
     Experiments.printTable(
-      s"T3 Fig6 ${sc.name}: GMM components and stop threshold (w=90min)",
-      Seq("level", "mu1", "mu2", "sigma1", "sigma2", "c1", "threshold",
-        "separation", "precision", "recall"),
-      rows.map(r => Seq(r.level, r.mu1, r.mu2, r.sigma1, r.sigma2, r.c1,
-        r.threshold, r.separation, r.precision, r.recall)))
+      s"T3 Fig6 ${sc.name}: GMM components and stop threshold (w=90min)", rows)
     assert(rows.size == levels.size)
   }
 

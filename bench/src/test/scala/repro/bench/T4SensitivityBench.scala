@@ -23,17 +23,13 @@ class T4SensitivityBench extends SparkSpec {
 
   test("T4: Cab sensitivity table (Fig 7a/b)") {
     Experiments.printTable(
-      "T4 Fig7ab Cab(n=40, recs<=300): F1/runtime vs inclusion probability",
-      Seq("rho", "p", "avgRecords", "f1", "elapsedMs"),
-      cabRows.map(r => Seq(r.rho, r.p, r.avgRecords, r.f1, r.elapsedMs)))
+      "T4 Fig7ab Cab(n=40, recs<=300): F1/runtime vs inclusion probability", cabRows)
     assert(cabRows.size == rhos.size * 4)
   }
 
   test("T4: SM sensitivity table (Fig 7c/d)") {
     Experiments.printTable(
-      "T4 Fig7cd SM(n=200, recs<=30): F1/runtime vs inclusion probability",
-      Seq("rho", "p", "avgRecords", "f1", "elapsedMs"),
-      smRows.map(r => Seq(r.rho, r.p, r.avgRecords, r.f1, r.elapsedMs)))
+      "T4 Fig7cd SM(n=200, recs<=30): F1/runtime vs inclusion probability", smRows)
     assert(smRows.size == rhos.size * 3)
   }
 

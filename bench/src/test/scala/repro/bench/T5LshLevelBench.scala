@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Slim
 import repro.exp.Experiments
 import repro.exp.Experiments._
 
@@ -12,21 +11,18 @@ class T5LshLevelBench extends SparkSpec {
 
   private val sigLevels = Seq(10, 12, 14, 16)
   private val steps = Seq(12, 24, 48)
-  private val cfg = Slim.SlimConfig()
 
   private lazy val cabSc = cabScenario(spark, n = 50, recsPerEntity = 400, days = 4,
     rho = 0.5, p = 0.5)
-  private lazy val cabRows = lshLevelSweep(spark, cabSc, cfg, sigLevels, steps)
+  private lazy val cabRows = lshLevelSweep(spark, cabSc, sigLevels, steps)
 
   private lazy val smSc = smScenario(spark, n = 250, recsPerEntity = 24, days = 8,
     rho = 0.5, p = 0.5)
-  private lazy val smRows = lshLevelSweep(spark, smSc, cfg, sigLevels, steps)
+  private lazy val smRows = lshLevelSweep(spark, smSc, sigLevels, steps)
 
   private def show(name: String, rows: Seq[LshLevelRow]): Unit =
     Experiments.printTable(
-      s"T5 Fig8 $name: LSH relF1/speedup vs (signature level, step)",
-      Seq("sigLevel", "step", "relF1", "speedup", "candidates"),
-      rows.map(r => Seq(r.sigLevel, r.stepWindows, r.relF1, r.speedup, r.candidates)))
+      s"T5 Fig8 $name: LSH relF1/speedup vs (signature level, step)", rows)
 
   test("T5: Cab LSH sweep table (Fig 8a/b)") {
     show(cabSc.name, cabRows)

@@ -1,37 +1,34 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Slim
 import repro.exp.Experiments
 import repro.exp.Experiments._
 
 /** T6 (paper Fig. 9): speed-up as a function of the number of hash buckets,
-  * for different LSH similarity thresholds (signature level 16, step 48).
+  * for different LSH similarity thresholds (signature level 14 / step 48 on
+  * Cab, 12 / 24 on SM).
   */
 class T6LshBucketsBench extends SparkSpec {
 
   private val buckets = Seq(1 << 8, 1 << 12, 1 << 18)
   private val ts = Seq(0.4, 0.6, 0.8)
-  private val cfg = Slim.SlimConfig()
 
   // Signature settings are each profile's accuracy-preserving point from T5
   // (paper uses S2 level 16 / step 48; our grid+noise equivalents differ —
   // DESIGN S1): cab (14, 48), sm (12, 24).
   private lazy val cabSc = cabScenario(spark, n = 50, recsPerEntity = 400, days = 4,
     rho = 0.5, p = 0.5)
-  private lazy val cabRows = lshBucketSweep(spark, cabSc, cfg, buckets, ts,
+  private lazy val cabRows = lshBucketSweep(spark, cabSc, buckets, ts,
     sigLevel = 14, stepWindows = 48)
 
   private lazy val smSc = smScenario(spark, n = 250, recsPerEntity = 24, days = 8,
     rho = 0.5, p = 0.5)
-  private lazy val smRows = lshBucketSweep(spark, smSc, cfg, buckets, ts,
+  private lazy val smRows = lshBucketSweep(spark, smSc, buckets, ts,
     sigLevel = 12, stepWindows = 24)
 
   private def show(name: String, rows: Seq[LshBucketRow]): Unit =
     Experiments.printTable(
-      s"T6 Fig9 $name: speedup vs buckets per threshold",
-      Seq("t", "buckets", "relF1", "speedup"),
-      rows.map(r => Seq(r.t, r.buckets, r.relF1, r.speedup)))
+      s"T6 Fig9 $name: speedup vs buckets per threshold", rows)
 
   test("T6: Cab bucket sweep table (Fig 9a)") {
     show(cabSc.name, cabRows)

@@ -19,13 +19,8 @@ class T7AblationBench extends SparkSpec {
     rows.find(r => r.axis == axis && r.value == v && r.variant == variant).get.f1
 
   test("T7: ablation tables (Fig 10)") {
-    for (axis <- Seq("level", "windowMin")) {
-      val vals = rows.filter(_.axis == axis).map(_.value).distinct.sorted
-      Experiments.printTable(
-        s"T7 Fig10 ${sc.name}: F1 by $axis per variant",
-        axis +: AblationVariants.map(_._1),
-        vals.map(v => v +: AblationVariants.map { case (name, _) => f1(axis, v, name) }))
-    }
+    for ((axis, table) <- ablationTables(rows))
+      Experiments.printTable(s"T7 Fig10 ${sc.name}: F1 by $axis per variant", table)
     assert(rows.size == (levels.size + windows.size) * AblationVariants.size)
   }
 

@@ -16,19 +16,14 @@ class T8ComparisonBench extends SparkSpec {
   private lazy val rows = comparison(spark,
     recs => cabScenario(spark, n = 40, recsPerEntity = recs / 0.6, days = 2,
       rho = 0.5, p = 0.6),
-    densities,
-    // cab's accuracy-preserving signature setting (T5; paper's S2-16/48)
-    lsh = repro.core.Lsh.LshConfig(t = 0.5, sigLevel = 14, stepWindows = 48))
+    densities)
 
   private def get(algo: String, recs: Double): ComparisonRow =
     rows.find(r => r.algo == algo && r.avgRecords == recs).get
 
   test("T8: comparison table (Fig 11a/b)") {
     Experiments.printTable(
-      "T8 Fig11ab Cab(n=40, rho=0.5): algorithms vs record density",
-      Seq("algo", "avgRecords", "hitPrec@40", "f1", "elapsedMs", "comparisons"),
-      rows.map(r => Seq(r.algo, r.avgRecords, r.hitPrec40, r.f1, r.elapsedMs,
-        r.comparisons)))
+      "T8 Fig11ab Cab(n=40, rho=0.5): algorithms vs record density", rows)
     assert(rows.size == densities.size * 4)
   }
 

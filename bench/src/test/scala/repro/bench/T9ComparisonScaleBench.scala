@@ -15,17 +15,14 @@ class T9ComparisonScaleBench extends SparkSpec {
   private lazy val rows = comparisonScale(spark,
     (recs, rho) => cabScenario(spark, n = 40, recsPerEntity = recs / 0.6, days = 2,
       rho = rho, p = 0.6),
-    densities, rhos,
-    lsh = repro.core.Lsh.LshConfig(t = 0.5, sigLevel = 14, stepWindows = 48))
+    densities, rhos)
 
   private def get(algo: String, recs: Double, rho: Double): ComparisonScaleRow =
     rows.find(r => r.algo == algo && r.avgRecords == recs && r.rho == rho).get
 
   test("T9: comparison-at-scale table (Fig 11c/d)") {
     Experiments.printTable(
-      "T9 Fig11cd Cab(n=40): SLIM vs ST-Link across density x intersection",
-      Seq("algo", "rho", "avgRecords", "f1", "elapsedMs", "comparisons"),
-      rows.map(r => Seq(r.algo, r.rho, r.avgRecords, r.f1, r.elapsedMs, r.comparisons)))
+      "T9 Fig11cd Cab(n=40): SLIM vs ST-Link across density x intersection", rows)
     assert(rows.size == densities.size * rhos.size * 2)
   }
 

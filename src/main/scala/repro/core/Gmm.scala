@@ -92,6 +92,12 @@ object Gmm {
     if (mu1 <= mu2) Gmm2(c1, mu1, s1, c2, mu2, s2) else Gmm2(c2, mu2, s2, c1, mu1, s1)
   }
 
+  /** Ashman's D: how far apart the two components are relative to their
+    * spreads (D > 2 is a clean separation).
+    */
+  def separation(g: Gmm2): Double =
+    math.sqrt(2.0) * (g.mu2 - g.mu1) / math.sqrt(g.sigma1 * g.sigma1 + g.sigma2 * g.sigma2)
+
   /** Model-implied expected precision/recall/F1 at threshold `s`. */
   def expectedPrf(g: Gmm2, s: Double): (Double, Double, Double) = {
     val r = g.c2 * (1.0 - normCdf(s, g.mu2, g.sigma2))

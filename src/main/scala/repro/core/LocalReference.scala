@@ -19,8 +19,8 @@ object LocalReference {
   )
 
   object Dataset {
-    /** Build from raw `(id, ts, lat, lon)` tuples. `bParam` defaults to the
-      * paper's 0.5 via [[fromRecords]]'s caller.
+    /** Build from raw `(id, ts, lat, lon)` tuples. `bParam` is the BM25
+      * length-normalisation weight b; the default 0.5 is the paper's.
       */
     def fromRecords(rows: Seq[(Long, Long, Double, Double)], level: Int,
                     windowSec: Long, bParam: Double = 0.5): Dataset = {

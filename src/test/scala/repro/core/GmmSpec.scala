@@ -91,6 +91,11 @@ class GmmSpec extends AnyFunSuite {
     assert(Gmm.stopThreshold(Array.empty[Double]) == Double.NegativeInfinity)
   }
 
+  test("separation: Ashman's D of mu 0 and 2 with sigma 1 and 1 is 2") {
+    val g = Gmm.Gmm2(0.5, 0.0, 1.0, 0.5, 2.0, 1.0)
+    assert(math.abs(Gmm.separation(g) - 2.0) < 1e-12)
+  }
+
   test("selectThreshold handles degenerate range") {
     val g = Gmm.Gmm2(0.5, 1.0, 0.1, 0.5, 1.0, 0.1)
     assert(Gmm.selectThreshold(g, 1.0, 1.0) == Double.NegativeInfinity)

@@ -193,7 +193,7 @@ class SimilarityPipelineSpec extends SparkSpec {
   test("Experiments.slimScores scores every window-sharing pair as LocalReference does") {
     val pair = genPair(10, 60, 0.7)
     val cfg = Slim.SlimConfig(level = Level, windowSec = WindowSec, bParam = BParam)
-    val scores = Experiments.slimScores(spark, Experiments.Scenario("small", pair), cfg)
+    val scores = Experiments.slimScores(Experiments.Scenario("small", pair), cfg)
     val dsE = LocalReference.Dataset.fromRecords(collectRows(pair.e), Level, WindowSec, BParam)
     val dsI = LocalReference.Dataset.fromRecords(collectRows(pair.i), Level, WindowSec, BParam)
     val sharing = for {

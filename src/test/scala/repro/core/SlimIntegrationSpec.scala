@@ -61,7 +61,7 @@ class SlimIntegrationSpec extends SparkSpec {
   }
 
   test("every matched LSH edge weighs the brute-force score of its pair") {
-    val bruteForce = repro.exp.Experiments.slimScores(spark,
+    val bruteForce = repro.exp.Experiments.slimScores(
       repro.exp.Experiments.Scenario("integration", pair), cfg)
     assert(lsh.matched.nonEmpty)
     for (m <- lsh.matched) {
