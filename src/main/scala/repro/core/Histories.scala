@@ -76,6 +76,19 @@ object Histories {
       .agg(count(lit(1)).as("cnt"))
   }
 
+  /** Histories binned at a finer level, viewed at the coarser `level`: each
+    * bin's cell becomes its [[Grid.ancestorAt]] `level` and the counts of the
+    * bins that merge are summed. Every other column stays a grouping key.
+    * `ancestorAt(cellOf(p, L), l) == cellOf(p, l)`, so the result holds the
+    * rows that binning the records at `level` gives. `win` is a key, so on
+    * histories partitioned by window this plans no exchange.
+    */
+  def coarsen(hist: DataFrame, level: Int): DataFrame = {
+    val ancestor = udf((cell: Long) => Grid.ancestorAt(cell, level))
+    val keys = hist.columns.toSeq.filterNot(Set("cell", "cnt")).map(col)
+    hist.groupBy(keys :+ ancestor(col("cell")).as("cell"): _*).agg(sum("cnt").as("cnt"))
+  }
+
   /** Inverse document frequency of each time-location bin (paper Eq. 3):
     * `idf(e) = ln(|U| / |{u : e in H_u}|)` over the given history set.
     * Counting rows gives `|{u : e in H_u}|` because histories hold one row

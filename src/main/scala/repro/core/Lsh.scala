@@ -20,13 +20,17 @@ import scala.util.hashing.MurmurHash3
   * For a target signature-similarity threshold `t`, `b = e^{W(-s ln t)}`
   * where `W` is the Lambert W function (from `t = (1/b)^{b/s}`).
   *
-  * Two paths compute the candidates. [[candidatePairs]], the production
-  * path, groups both datasets' records once by entity and derives each
-  * signature and its band buckets in memory. [[signatures]], [[bandHashes]]
-  * and [[candidates]] are the reference: the same steps as DataFrame stages,
-  * which the benchmark's staged trace times and the tests compare against.
-  * Both call [[dominatingCell]] and [[bandBucket]], so the dominating-cell
-  * rule and the band hash are defined once.
+  * [[Slim.link]] computes the candidates with no Spark job of their own: a
+  * query window is whole leaf windows (`qidx = floorDiv(win, step)`) and a
+  * coarse cell's record count is the sum of its leaf bins' `cnt`, so stage 1
+  * ([[Slim.prepare]]) counts the records per `(entity, qidx, cell)` in the
+  * same pass over the cached histories that sizes them, and the driver
+  * derives every signature and its band buckets from those counts
+  * ([[candidatePairs]]). [[signatures]], [[bandHashes]] and [[candidates]]
+  * are the reference: the same steps as DataFrame stages over the raw
+  * records, which the benchmark's staged trace times and the tests compare
+  * against. Both call [[dominatingCell]] and [[bandBucket]], so the
+  * dominating-cell rule and the band hash are defined once.
   */
 object Lsh {
 
@@ -86,14 +90,16 @@ object Lsh {
   def dominatingCell(counts: Iterable[(Long, Long)]): Long =
     counts.reduce((a, b) => if (a._2 > b._2 || (a._2 == b._2 && a._1 < b._1)) a else b)._1
 
-  /** One entity's signature from its `(qidx, cell)` record observations: the
+  /** One entity's signature from its `(qidx, cell, cnt)` record counts: the
     * `(qidx, dominating cell)` of every query window holding a record, in
-    * qidx order. Query windows with no record have no entry (the placeholder).
+    * qidx order. Counts of the same `(qidx, cell)` are summed first, so the
+    * partial counts of several partitions can be passed as they are. Query
+    * windows with no record have no entry (the placeholder).
     */
-  def signatureOf(obs: Iterator[(Long, Long)]): Seq[(Long, Long)] =
-    obs.toSeq.groupMapReduce(identity)(_ => 1L)(_ + _)
+  def signatureOf(counts: Iterable[(Long, Long, Long)]): Seq[(Long, Long)] =
+    counts.groupMapReduce(c => (c._1, c._2))(_._3)(_ + _)
       .groupMap(_._1._1) { case ((_, cell), cnt) => (cell, cnt) }
-      .map { case (q, counts) => (q, dominatingCell(counts)) }
+      .map { case (q, cells) => (q, dominatingCell(cells)) }
       .toSeq.sortBy(_._1)
 
   /** The bucket of one band: a Murmur3 hash (seed `0x5115`) of the band's
@@ -112,40 +118,28 @@ object Lsh {
     sig.groupBy { case (q, _) => math.floorDiv(q - qMin, r.toLong) }
       .map { case (band, entries) => (band, bandBucket(entries, numBuckets)) }
 
-  /** Candidate pairs of both datasets in one pass, collected: what
-    * [[Slim.link]] runs. Equal to the distinct rows of [[candidates]] over
-    * each dataset's [[signatures]].
+  /** Candidate pairs of both datasets, on the driver: what [[Slim.link]]
+    * runs, from the signature counts that [[Slim.prepare]] collects with
+    * stage 1. Equal to the distinct rows of [[candidates]] over each
+    * dataset's [[signatures]].
     *
-    * The records of both datasets, tagged with their side
-    * ([[Histories.tagSides]]), are grouped once by `(side, id)`; each entity's
-    * signature ([[signatureOf]]) and band buckets ([[bandBuckets]]) are
-    * computed in memory, and its `(band, bucket, side, id)` rows are
-    * collected. The driver groups them by `(band, bucket)` and emits every
-    * E×I pair of a bucket once, however many buckets the pair shares. Two
-    * Spark jobs: the shuffle and the collect. Driver memory is the number of
-    * bands over all entities.
+    * `counts` holds partial `(side, id, qidx, cell, cnt)` record counts, at
+    * the signature level; one `(side, id, qidx, cell)` may have several.
+    * Each entity's signature ([[signatureOf]]) and band buckets
+    * ([[bandBuckets]]) are computed, and every E×I pair sharing a
+    * `(band, bucket)` is emitted once, however many buckets the pair shares.
     *
     * @param qMin the smallest query index across both datasets
     * @param r    rows per band, from [[bandsFor]]
     */
-  def candidatePairs(recordsE: DataFrame, recordsI: DataFrame, cfg: LshConfig, windowSec: Long,
-                     qMin: Long, r: Int): Array[(Long, Long)] = {
-    val spark = recordsE.sparkSession
-    import spark.implicits._
-    val qSec = windowSec * cfg.stepWindows
-    val numBuckets = cfg.numBuckets
-    Histories.tagSides(recordsE, recordsI)
-      .select(col("side"), col("id"), floor(col("ts") / qSec).cast("long").as("qidx"),
-        Histories.cellUdf(cfg.sigLevel)(col("lat"), col("lon")).as("cell"))
-      .as[(Int, Long, Long, Long)]
-      .groupByKey(x => (x._1, x._2))
-      .flatMapGroups { (entity, rows) =>
-        val sig = signatureOf(rows.map(x => (x._3, x._4)))
-        bandBuckets(sig, qMin, r, numBuckets).map { case (band, bucket) =>
-          (band, bucket, entity._1, entity._2)
+  def candidatePairs(counts: Iterable[(Int, Long, Long, Long, Long)], qMin: Long, r: Int,
+                     numBuckets: Int): Array[(Long, Long)] =
+    counts.groupMap(c => (c._1, c._2))(c => (c._3, c._4, c._5)).toSeq
+      .flatMap { case ((side, id), entity) =>
+        bandBuckets(signatureOf(entity), qMin, r, numBuckets).map { case (band, bucket) =>
+          (band, bucket, side, id)
         }
       }
-      .collect()
       .groupBy(x => (x._1, x._2))
       .valuesIterator
       .flatMap { members =>
@@ -154,12 +148,11 @@ object Lsh {
       }
       .distinct
       .toArray
-  }
 
   /** Dominating-cell signature entries straight from the records — the
     * DataFrame equivalent of querying the mobility history tree per query
-    * window, and the reference for [[candidatePairs]]' in-memory
-    * [[signatureOf]]. Output: `(id, qidx, cell)`; query windows with no
+    * window, and the reference for the signatures [[candidatePairs]] derives
+    * from stage 1's counts. Output: `(id, qidx, cell)`; query windows with no
     * records simply have no row (the placeholder). The cell of a query
     * window is [[dominatingCell]] of its per-cell record counts.
     */

@@ -13,12 +13,13 @@ import scala.collection.mutable
   *  1. mobility histories + BM25 length norms of both datasets at once
   *     ([[prepare]]): the records are tagged with their side, one shuffle
   *     partitions both datasets' histories by window, which stage 3 reuses,
-  *     and the per-entity history sizes are counted per partition and
-  *     merged on the driver into the counts and the norms;
-  *  2. candidate pairs from dominating-cell banding LSH
-  *     ([[Lsh.candidatePairs]]): one grouping of both datasets' records by
-  *     entity computes every signature and its band buckets, which are
-  *     collected; the driver pairs E with I per bucket. Brute force has no
+  *     and one pass over them counts the per-entity history sizes (and with
+  *     LSH the records per entity, query window and signature cell) per
+  *     partition; the driver merges them into the counts and the norms;
+  *  2. candidate pairs from dominating-cell banding LSH ([[lshCandidates]]),
+  *     on the driver: every signature and its band buckets come from stage
+  *     1's signature counts, and E is paired with I per bucket. No Spark
+  *     job, and no second pass over the records. Brute force has no
   *     candidate list, since every pair sharing a window is scored;
   *  3. per-window scoring ([[scorePairs]]): each window of the two cached
   *     histories is cogrouped, its idf counted and every cross pair (the LSH
@@ -29,10 +30,10 @@ import scala.collection.mutable
   *  5. (driver) GMM stop-threshold over matched edge weights; links above the
   *     threshold are the output.
   *
-  * So a link runs one Spark action per collect: stage 1 of both datasets,
-  * the LSH band buckets (LSH only) and the scored pairs. Each shuffle map
-  * stage runs as a Spark job of its own, and so does the cached histories'
-  * final stage: a warm link runs 4 Spark jobs on brute force and 6 on LSH.
+  * So a link runs one Spark action per collect: stage 1 of both datasets and
+  * the scored pairs. Each shuffle map stage runs as a Spark job of its own,
+  * and so does the cached histories' final stage: a warm link runs 4 Spark
+  * jobs, on brute force and on LSH alike.
   */
 object Slim {
 
@@ -88,12 +89,19 @@ object Slim {
     * The per-dataset reference is [[Histories.build]] of its records with
     * [[Histories.idf]] and [[Histories.lengthNorm]]: the tests and the
     * benchmark's staged trace compare against those, and `histories`, the
-    * idf counted from it and `norms` equal them.
+    * idf counted from it and `norms` equal them. With LSH, the signature
+    * counts of both datasets come with them in [[Stage1.sigCounts]]: on the
+    * driver, at most one per cached bin, since each
+    * `(side, id, qidx, sigCell)` is counted in at most min(step, P) of the
+    * P partitions.
     *
-    * @param histories  the dataset's leaf bins `(id, win, cell, cnt)`: its
-    *                   side of [[Stage1.histories]], so partitioned by window
-    *                   and cached until [[Stage1.unpersist]]; stage 3 counts
-    *                   the idf (Eq. 3) per window from them
+    * @param histories  the dataset's leaf bins `(id, win, cell, cnt)` at the
+    *                   scoring level: its side of [[Stage1.histories]] (if
+    *                   that is binned at a finer signature level, coarsened
+    *                   to the scoring level with no exchange), so partitioned
+    *                   by window and read from the cache until
+    *                   [[Stage1.unpersist]]; stage 3 counts the idf (Eq. 3)
+    *                   per window from them
     * @param norms      BM25 length norm L(u) (Eq. 2) of every entity, on the
     *                   driver; bit for bit the `lnorm` of
     *                   [[Histories.lengthNorm]]
@@ -114,54 +122,126 @@ object Slim {
     * @param e         dataset E
     * @param i         dataset I
     * @param histories both datasets' histories `(side, id, win, cell, cnt)`
-    *                  from [[Histories.buildSides]], cached: `e.histories`
-    *                  and `i.histories` are its two sides
+    *                  from [[Histories.buildSides]], cached, at the finer of
+    *                  the scoring and the signature level: `e.histories` and
+    *                  `i.histories` are its two sides at the scoring level
+    * @param sigCounts with LSH, partial record counts
+    *                  `(side, id, qidx, sigCell, cnt)` at the signature
+    *                  level, each partition's own: the input of
+    *                  [[Lsh.candidatePairs]]. At most one row per cached bin,
+    *                  as each `(side, id, qidx, sigCell)` has a row in at
+    *                  most min(step, P) of the P partitions (a query window
+    *                  spans `step` windows, and each window is in one
+    *                  partition). Empty without LSH.
     */
-  final case class Stage1(e: Prepared, i: Prepared, histories: DataFrame) {
+  final case class Stage1(e: Prepared, i: Prepared, histories: DataFrame,
+                          sigCounts: Seq[(Int, Long, Long, Long, Long)]) {
     /** Releases the cached histories of both datasets. */
     def unpersist(): Unit = histories.unpersist()
   }
 
+  /** One partition's history sizes `(side, id) -> (nbins, minWin, maxWin)`. */
+  private type Sizes = mutable.HashMap[(Int, Long), (Long, Long, Long)]
+
+  /** Counts one bin of an entity in `sizes`. */
+  private def addBin(sizes: Sizes, side: Int, id: Long, win: Long): Unit =
+    sizes.updateWith((side, id)) {
+      case Some((n, lo, hi)) => Some((n + 1, math.min(lo, win), math.max(hi, win)))
+      case None              => Some((1L, win, win))
+    }
+
+  /** `sizes` as `(side, id, nbins, minWin, maxWin)` rows. */
+  private def sizeRows(sizes: Sizes): Iterator[(Int, Long, Long, Long, Long)] =
+    sizes.iterator.map { case ((s, id), (n, lo, hi)) => (s, id, n, lo, hi) }
+
   /** Stage 1 for both datasets: their histories and their length norms
-    * (Eq. 2). The two record sets are tagged with their side and binned
-    * together ([[Histories.buildSides]]): one shuffle by window and one
-    * cache serve both. One Spark action collects the per-entity history
-    * sizes `(side, id, nbins, minWin, maxWin)`, each partition's own; the
-    * driver merges them (count sum, min, max: exact) into each side's entity
-    * count, mean history length, window range and norms. Driver memory is
-    * O((nE + nI) P) for P partitions. The caller releases the cache with
-    * [[Stage1.unpersist]].
+    * (Eq. 2), and with LSH the signature counts. The two record sets are
+    * tagged with their side and binned together ([[Histories.buildSides]]):
+    * one shuffle by window and one cache serve both. One Spark action reads
+    * the cache once and collects each partition's per-entity history sizes
+    * `(side, id, nbins, minWin, maxWin)`; the driver merges them (count sum,
+    * min, max: exact) into each side's entity count, mean history length,
+    * window range and norms.
+    *
+    * With LSH the same action collects each partition's record counts per
+    * `(side, id, qidx, sigCell)` ([[Stage1.sigCounts]]): `qidx` is
+    * `floorDiv(win, step)` and `sigCell` the bin cell's [[Grid.ancestorAt]]
+    * the signature level. The histories are binned at the finer of the two
+    * levels. When that is the signature level, each side's
+    * [[Prepared.histories]] is the cache viewed at the scoring level
+    * ([[Histories.coarsen]], no exchange), and its bins are counted once per
+    * coarse `(win, cell)`: each partition holds all of a window's bins.
+    *
+    * Driver memory is O((nE + nI) P) for P partitions, plus with LSH at most
+    * one signature count per cached bin. The caller releases the cache with
+    * [[Stage1.unpersist]]; a failed collect releases it here.
     */
   def prepare(recordsE: DataFrame, recordsI: DataFrame, cfg: SlimConfig): Stage1 = {
     require(cfg.bParam >= 0 && cfg.bParam <= 1, s"b=${cfg.bParam} out of [0,1]")
-    val hist = Histories.buildSides(recordsE, recordsI, cfg.level, cfg.windowSec).cache()
+    val level = cfg.level
+    val binLevel = cfg.lsh.fold(level)(l => math.max(level, l.sigLevel))
+    val hist = Histories.buildSides(recordsE, recordsI, binLevel, cfg.windowSec).cache()
     val spark = hist.sparkSession
     import spark.implicits._
-    val sizes = hist.select("side", "id", "win").as[(Int, Long, Long)]
-      .mapPartitions { rows =>
-        val part = mutable.HashMap.empty[(Int, Long), (Long, Long, Long)]
-        for ((s, id, win) <- rows) part.updateWith((s, id)) {
-          case Some((n, lo, hi)) => Some((n + 1, math.min(lo, win), math.max(hi, win)))
-          case None              => Some((1L, win, win))
-        }
-        part.iterator.map { case ((s, id), (n, lo, hi)) => (s, id, n, lo, hi) }
-      }
-      .collect()
-      .groupMapReduce(r => (r._1, r._2))(r => (r._3, r._4, r._5)) { (a, b) =>
-        (a._1 + b._1, math.min(a._2, b._2), math.max(a._3, b._3))
-      }
+    val (sizeParts, sigCounts) = try cfg.lsh match {
+      case None =>
+        (hist.select("side", "id", "win").as[(Int, Long, Long)]
+          .mapPartitions { rows =>
+            val sizes: Sizes = mutable.HashMap.empty
+            for ((s, id, win) <- rows) addBin(sizes, s, id, win)
+            sizeRows(sizes)
+          }
+          .collect().toSeq, Nil)
+      case Some(l) =>
+        val (sigLevel, step) = (l.sigLevel, l.stepWindows.toLong)
+        val parts = hist.select("side", "id", "win", "cell", "cnt").as[(Int, Long, Long, Long, Long)]
+          .mapPartitions { rows =>
+            val sizes: Sizes = mutable.HashMap.empty
+            val coarse = mutable.HashSet.empty[(Int, Long, Long, Long)]
+            val sig = mutable.HashMap.empty[(Int, Long, Long, Long), Long]
+            for ((s, id, win, cell, cnt) <- rows) {
+              if (binLevel == level || coarse.add((s, id, win, Grid.ancestorAt(cell, level))))
+                addBin(sizes, s, id, win)
+              sig.updateWith((s, id, math.floorDiv(win, step), Grid.ancestorAt(cell, sigLevel))) {
+                n => Some(n.getOrElse(0L) + cnt)
+              }
+            }
+            Iterator.single((sizeRows(sizes).toSeq,
+              sig.iterator.map { case ((s, id, q, c), n) => (s, id, q, c, n) }.toSeq))
+          }
+          .collect()
+        (parts.toSeq.flatMap(_._1), parts.toSeq.flatMap(_._2))
+    } catch { case t: Throwable => hist.unpersist(); throw t }
+    val sizes = sizeParts.groupMapReduce(r => (r._1, r._2))(r => (r._3, r._4, r._5)) { (a, b) =>
+      (a._1 + b._1, math.min(a._2, b._2), math.max(a._3, b._3))
+    }
+    val scored = if (binLevel == level) hist else Histories.coarsen(hist, level)
     def side(s: Int): Prepared = {
       val rows = sizes.collect { case ((`s`, id), size) => id -> size }
       val n = rows.size.toLong
       val mean = if (n == 0) 0.0 else rows.valuesIterator.map(_._1).sum.toDouble / n
       // Histories.lengthNorm's column expression, in its operation order.
       val b = cfg.bParam
-      Prepared(hist.filter(col("side") === s).drop("side"),
+      Prepared(scored.filter(col("side") === s).drop("side"),
         rows.map { case (id, (nbins, _, _)) => id -> ((1.0 - b) + b * nbins / mean) }, n, mean,
         rows.valuesIterator.map(_._2).minOption.getOrElse(Long.MaxValue),
         rows.valuesIterator.map(_._3).maxOption.getOrElse(Long.MinValue))
     }
-    Stage1(side(Histories.SideE), side(Histories.SideI), hist)
+    Stage1(side(Histories.SideE), side(Histories.SideI), hist, sigCounts)
+  }
+
+  /** Stage 2: the LSH candidate pairs of a link's two datasets, on the
+    * driver from stage 1's signature counts ([[Lsh.candidatePairs]]).
+    * `qidx = floor(ts / (windowSec * step)) = floorDiv(win, step)`, so the
+    * aligned signature range comes from the windows stage 1 found. Both
+    * sides must have an entity.
+    */
+  def lshCandidates(stage1: Stage1, l: Lsh.LshConfig): Array[(Long, Long)] = {
+    val (e, i) = (stage1.e, stage1.i)
+    val qMin = math.floorDiv(math.min(e.minWin, i.minWin), l.stepWindows.toLong)
+    val qMax = math.floorDiv(math.max(e.maxWin, i.maxWin), l.stepWindows.toLong)
+    val (_, r) = Lsh.bandsFor((qMax - qMin + 1).toInt, l.t)
+    Lsh.candidatePairs(stage1.sigCounts, qMin, r, l.numBuckets)
   }
 
   /** Cross product of the two entity id sets: every pair brute force
@@ -203,9 +283,10 @@ object Slim {
   /** Run SLIM over two location datasets `(id, ts, lat, lon)`.
     *
     * Spark actions: one collect for stage 1 of both datasets ([[prepare]]),
-    * the collect of the LSH band buckets (LSH only, [[Lsh.candidatePairs]]),
-    * and one collect of the per-partition pair sums ([[scorePairs]]). When a side is empty there is no
-    * pair to score: stages 2–3 are skipped and the result has no
+    * which with LSH also brings the signature counts that the driver turns
+    * into candidates ([[lshCandidates]]), and one collect of the
+    * per-partition pair sums ([[scorePairs]]). When a side is empty there is
+    * no pair to score: stages 2–3 are skipped and the result has no
     * candidates, comparisons, matches or links. The cached histories are
     * released when the link returns or throws.
     */
@@ -218,18 +299,11 @@ object Slim {
       val (prepE, prepI) = (stage1.e, stage1.i)
       val bothSides = prepE.nEntities > 0 && prepI.nEntities > 0 // else no pair to score
 
-      val lshCandidates = cfg.lsh.filter(_ => bothSides).map { l =>
-        // qidx = floor(ts / (windowSec * step)) = floorDiv(win, step), so the
-        // aligned signature range comes from the windows stage 1 found.
-        val qMin = math.floorDiv(math.min(prepE.minWin, prepI.minWin), l.stepWindows.toLong)
-        val qMax = math.floorDiv(math.max(prepE.maxWin, prepI.maxWin), l.stepWindows.toLong)
-        val (_, r) = Lsh.bandsFor((qMax - qMin + 1).toInt, l.t)
-        Lsh.candidatePairs(recordsE, recordsI, l, cfg.windowSec, qMin, r)
-      }
-      val nCandidates = lshCandidates.fold(prepE.nEntities * prepI.nEntities)(_.length.toLong)
+      val candidates = cfg.lsh.filter(_ => bothSides).map(lshCandidates(stage1, _))
+      val nCandidates = candidates.fold(prepE.nEntities * prepI.nEntities)(_.length.toLong)
 
       val scored = if (!bothSides) Array.empty[Similarity.PairScore]
-        else scorePairs(prepE, prepI, cfg.scoreConfig, lshCandidates)
+        else scorePairs(prepE, prepI, cfg.scoreConfig, candidates)
       val comparisons = scored.iterator.map(_.comparisons).sum
       val alibiEntityPairs = scored.count(_.alibis > 0).toLong
       val edges = scored.iterator.filter(_.score > 0)

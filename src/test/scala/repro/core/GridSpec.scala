@@ -93,6 +93,34 @@ class GridSpec extends AnyFunSuite {
     assert(Grid.ancestorAt(c14, 14) == c14)
   }
 
+  test("property: ancestorAt of a fine cell is the point's cell at every coarser level") {
+    // Stage 1 bins once at the finer of the scoring and signature levels and
+    // derives the other from it, so this must hold for every point cellOf
+    // accepts, at every pair of levels.
+    val rnd = new Random(20261021L)
+    def edge(level: Int, span: Double, from: Double): Double =
+      from + rnd.nextInt(1 << level) * span / (1 << level)
+    val fixed = for (lat <- Seq(-90.0, 90.0, 0.0, 45.0); lon <- Seq(-540.0, -180.0, 0.0, 180.0, 540.0))
+      yield (lat, lon)
+    val random = Seq.fill(1500) {
+      val level = rnd.nextInt(Grid.MaxLevel + 1)
+      val (lat, lon) = rnd.nextInt(3) match {
+        case 0 => (rnd.nextDouble() * 180 - 90, rnd.nextDouble() * 1080 - 540)
+        case 1 => (edge(level, 180, -90), edge(level, 360, -180)) // exact cell edges
+        case _ => (edge(level, 180, -90), edge(level, 360, -180) + 360 * (rnd.nextInt(3) - 1))
+      }
+      // One ulp either side of an edge as well.
+      val nudge = Seq(0.0, -1.0, 1.0)(rnd.nextInt(3))
+      (math.max(-90.0, math.min(90.0, lat + nudge * math.ulp(lat))), lon + nudge * math.ulp(lon))
+    }
+    for ((lat, lon) <- fixed ++ random) {
+      val cells = (0 to Grid.MaxLevel).map(Grid.cellOf(lat, lon, _))
+      for (fine <- 0 to Grid.MaxLevel; coarse <- 0 to fine)
+        assert(Grid.ancestorAt(cells(fine), coarse) == cells(coarse),
+          s"($lat, $lon): level $fine to $coarse")
+    }
+  }
+
   test("parent of level-0 cell is itself") {
     val c0 = Grid.cellOf(0, 0, 0)
     assert(Grid.parent(c0) == c0)

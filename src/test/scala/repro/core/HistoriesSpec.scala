@@ -117,45 +117,51 @@ class HistoriesSpec extends SparkSpec {
     // stay apart although both are binned in one relation.
     val recordsE = records.filter(col("id") < 20)
     val recordsI = records.filter(col("id") >= 10).withColumn("ts", col("ts") + 600)
-    val cfg = Slim.SlimConfig(level = Level, windowSec = WindowSec)
-    val stage1 = Slim.prepare(recordsE, recordsI, cfg)
-    try {
-      for ((name, side, input) <- Seq(("E", stage1.e, recordsE), ("I", stage1.i, recordsI))) {
-        val hist = Histories.build(input, Level, WindowSec).cache()
-        try {
-          def bins(df: DataFrame) = df.select("id", "win", "cell", "cnt").collect()
-            .map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3))).toSet
-          assert(bins(side.histories) == bins(hist), s"$name: histories")
+    // With LSH at a finer signature level, stage 1 bins at that level and
+    // views the histories at `Level`: the same rows.
+    val base = Slim.SlimConfig(level = Level, windowSec = WindowSec)
+    for ((label, cfg) <- Seq(("", base),
+           (" (finer signature level)", base.copy(lsh = Some(Lsh.LshConfig(sigLevel = Level + 2)))))) {
+      val stage1 = Slim.prepare(recordsE, recordsI, cfg)
+      try {
+        for ((name, side, input) <- Seq((s"E$label", stage1.e, recordsE),
+               (s"I$label", stage1.i, recordsI))) {
+          val hist = Histories.build(input, Level, WindowSec).cache()
+          try {
+            def bins(df: DataFrame) = df.select("id", "win", "cell", "cnt").collect()
+              .map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3))).toSet
+            assert(bins(side.histories) == bins(hist), s"$name: histories")
 
-          // Stage 3 counts each window's idf from the prepared histories; it
-          // must equal Spark's Eq. 3 over the whole history set bit for bit.
-          val got = side.histories.select("win", "id", "cell").collect()
-            .groupBy(_.getLong(0)).toSeq.flatMap { case (win, rows) =>
-              val ws = Similarity.windowSide(rows.iterator.map(r => (r.getLong(1), r.getLong(2))),
-                side.nEntities)
-              ws.cells.indices.map(j => (win, ws.cells(j)) -> ws.idf(j))
-            }
-          val want = Histories.idf(hist, Histories.nEntities(hist)).collect()
-            .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
-          assert(got.map(_._1).toSet == want.keySet, s"$name: idf keys")
-          for ((k, v) <- got) assert(v == want(k), s"$name: idf of (win, cell) $k: $v vs ${want(k)}")
+            // Stage 3 counts each window's idf from the prepared histories; it
+            // must equal Spark's Eq. 3 over the whole history set bit for bit.
+            val got = side.histories.select("win", "id", "cell").collect()
+              .groupBy(_.getLong(0)).toSeq.flatMap { case (win, rows) =>
+                val ws = Similarity.windowSide(rows.iterator.map(r => (r.getLong(1), r.getLong(2))),
+                  side.nEntities)
+                ws.cells.indices.map(j => (win, ws.cells(j)) -> ws.idf(j))
+              }
+            val want = Histories.idf(hist, Histories.nEntities(hist)).collect()
+              .map(r => (r.getLong(0), r.getLong(1)) -> r.getDouble(2)).toMap
+            assert(got.map(_._1).toSet == want.keySet, s"$name: idf keys")
+            for ((k, v) <- got) assert(v == want(k), s"$name: idf of (win, cell) $k: $v vs ${want(k)}")
 
-          // The driver-side norms evaluate Eq. 2 as Spark does, bit for bit.
-          val norms = Histories.lengthNorm(hist, cfg.bParam).select("id", "lnorm").collect()
-            .map(r => r.getLong(0) -> r.getDouble(1)).toMap
-          assert(side.norms.keySet == norms.keySet, s"$name: norm ids")
-          for ((id, l) <- norms) assert(
-            java.lang.Double.doubleToRawLongBits(side.norms(id)) ==
-              java.lang.Double.doubleToRawLongBits(l), s"$name: norm of $id: ${side.norms(id)} vs $l")
+            // The driver-side norms evaluate Eq. 2 as Spark does, bit for bit.
+            val norms = Histories.lengthNorm(hist, cfg.bParam).select("id", "lnorm").collect()
+              .map(r => r.getLong(0) -> r.getDouble(1)).toMap
+            assert(side.norms.keySet == norms.keySet, s"$name: norm ids")
+            for ((id, l) <- norms) assert(
+              java.lang.Double.doubleToRawLongBits(side.norms(id)) ==
+                java.lang.Double.doubleToRawLongBits(l), s"$name: norm of $id: ${side.norms(id)} vs $l")
 
-          val st = Histories.historySizes(hist)
-            .agg(count(lit(1)), avg("nbins"), min("minWin"), max("maxWin")).first()
-          assert(side.nEntities == st.getLong(0), name)
-          assert(side.meanLength == st.getDouble(1), name)
-          assert(side.minWin == st.getLong(2) && side.maxWin == st.getLong(3), name)
-        } finally hist.unpersist()
-      }
-    } finally stage1.unpersist()
+            val st = Histories.historySizes(hist)
+              .agg(count(lit(1)), avg("nbins"), min("minWin"), max("maxWin")).first()
+            assert(side.nEntities == st.getLong(0), name)
+            assert(side.meanLength == st.getDouble(1), name)
+            assert(side.minWin == st.getLong(2) && side.maxWin == st.getLong(3), name)
+          } finally hist.unpersist()
+        }
+      } finally stage1.unpersist()
+    }
   }
 
   test("windows respect the configured width") {

@@ -172,13 +172,15 @@ class LshSparkSpec extends SparkSpec {
       assert(tree.dominatingCell(tree.winMin, tree.winMax).contains(Lsh.dominatingCell(counts)),
         s"observations $obs")
       // signatureOf with the window index as the query index: one query
-      // window per leaf window.
-      for ((q, cell) <- Lsh.signatureOf(obs.iterator))
+      // window per leaf window, one count per record.
+      for ((q, cell) <- Lsh.signatureOf(obs.map { case (q, cell) => (q, cell, 1L) }))
         assert(tree.dominatingCell(q, q).contains(cell), s"window $q of $obs")
     }
   }
 
   test("property: the one-pass LSH candidates equal the reference composition") {
+    // Stage 1's signature counts, at a scoring level above, at and below the
+    // signature level, against the signatures of the raw records.
     val rnd = new scala.util.Random(20261020L)
     val qSec = WindowSec * cfg.stepWindows
     // Five places, two of them in one sigLevel-12 cell, so dominating cells
@@ -202,6 +204,7 @@ class LshSparkSpec extends SparkSpec {
       val i = recordsDf(spark, (6L to 17L).flatMap(entity))
       val numBuckets = Seq(3, 64, 4096)(trial % 3)
       val r = 2 + trial % 2
+      val level = Seq(10, 12, 14)((trial - 1) / 2)
       val c = cfg.copy(numBuckets = numBuckets)
       val sigE = Lsh.signatures(e, c, WindowSec)
       val sigI = Lsh.signatures(i, c, WindowSec)
@@ -209,14 +212,24 @@ class LshSparkSpec extends SparkSpec {
       val (qMin, sigLen) = (q.getLong(0), q.getLong(1) - q.getLong(0) + 1)
       val want = Lsh.candidates(sigE, sigI, qMin, r, numBuckets).collect()
         .map(x => (x.getLong(0), x.getLong(1))).toSet
-      val got = Lsh.candidatePairs(e, i, c, WindowSec, qMin, r)
-      assert(got.length == got.toSet.size, s"trial $trial: duplicate pairs")
-      assert(got.toSet == want, s"trial $trial: r $r, $numBuckets buckets, signature length $sigLen")
-      assert(want.nonEmpty, s"trial $trial")
+      val stage1 = Slim.prepare(e, i, Slim.SlimConfig(level = level, windowSec = WindowSec,
+        lsh = Some(c)))
+      val got = try Lsh.candidatePairs(stage1.sigCounts, qMin, r, numBuckets)
+        finally stage1.unpersist()
+      val shape = s"trial $trial: level $level, r $r, $numBuckets buckets, signature length $sigLen"
+      assert(got.length == got.toSet.size, s"$shape: duplicate pairs")
+      assert(got.toSet == want, shape)
+      assert(want.nonEmpty, shape)
       (sigLen, r)
     }
     // Several bands each time, and at least once a short last band.
     assert(shapes.forall { case (len, r) => len > r } && shapes.exists { case (len, r) => len % r != 0 },
       s"(signature length, r): $shapes")
+  }
+
+  test("signatureOf sums the partial counts of one query window and cell") {
+    // Cell 7 wins query window 0 only once its two partials are added up.
+    val counts = Seq((0L, 7L, 2L), (0L, 5L, 3L), (0L, 7L, 2L), (1L, 5L, 1L))
+    assert(Lsh.signatureOf(counts) == Seq((0L, 7L), (1L, 5L)))
   }
 }

@@ -18,12 +18,24 @@ class SimilarityPipelineSpec extends SparkSpec {
 
   private val PrepCfg = Slim.SlimConfig(level = Level, windowSec = WindowSec, bParam = BParam)
 
-  /** `f` over both datasets after stage 1 ([[Slim.prepare]]). */
-  private def withPrepared[T](recordsE: DataFrame, recordsI: DataFrame)
-                             (f: (Slim.Prepared, Slim.Prepared) => T): T = {
-    val stage1 = Slim.prepare(recordsE, recordsI, PrepCfg)
-    try f(stage1.e, stage1.i) finally stage1.unpersist()
+  /** LSH with signatures finer than the scoring level: stage 1 bins at the
+    * signature level and coarsens the histories to `Level` for stage 3.
+    */
+  private val FineLsh = Lsh.LshConfig(t = 0.5, sigLevel = Level + 2, stepWindows = 8,
+    numBuckets = 4096)
+  private val FineCfg = PrepCfg.copy(lsh = Some(FineLsh))
+
+  /** `f` over stage 1 of both datasets ([[Slim.prepare]]). */
+  private def withStage1[T](recordsE: DataFrame, recordsI: DataFrame, cfg: Slim.SlimConfig)
+                           (f: Slim.Stage1 => T): T = {
+    val stage1 = Slim.prepare(recordsE, recordsI, cfg)
+    try f(stage1) finally stage1.unpersist()
   }
+
+  /** `f` over both datasets after stage 1 without LSH. */
+  private def withPrepared[T](recordsE: DataFrame, recordsI: DataFrame)
+                             (f: (Slim.Prepared, Slim.Prepared) => T): T =
+    withStage1(recordsE, recordsI, PrepCfg)(st => f(st.e, st.i))
 
   /** The reference norms `(id, nbins, lnorm)` of a prepared dataset. */
   private def refNorms(p: Slim.Prepared): DataFrame = Histories.lengthNorm(p.histories, BParam)
@@ -128,15 +140,22 @@ class SimilarityPipelineSpec extends SparkSpec {
     }
   }
 
-  for (path <- Seq("brute-force", "LSH")) {
+  for (path <- Seq("brute-force", "LSH", "LSH at a finer signature level")) {
     test(s"$path scoring adds no shuffle keyed on the window") {
       // Stage 1 partitions the histories by window; the per-window cogroup
-      // of stage 3 must reuse that partitioning, and the per-pair sums are
-      // finished on the driver: stage 3 plans no exchange at all.
+      // of stage 3 must reuse that partitioning, also through the coarsening
+      // of histories binned at a finer signature level, and the per-pair
+      // sums are finished on the driver: stage 3 plans no exchange at all.
       val pair = genPair(8, 50, 0.7)
       val cfg = Similarity.ScoreConfig(runawayKm = Proximity.runawayKm(WindowSec, 2.0))
-      val candidates = if (path == "LSH") Some(lshCandidates(pair.e, pair.i)) else None
-      val shuffles = withPrepared(pair.e, pair.i) { (e, i) =>
+      val fine = path == "LSH at a finer signature level"
+      val shuffles = withStage1(pair.e, pair.i, if (fine) FineCfg else PrepCfg) { st =>
+        val (e, i) = (st.e, st.i)
+        val candidates =
+          if (fine) Some(Slim.lshCandidates(st, FineLsh))
+          else if (path == "LSH") Some(lshCandidates(pair.e, pair.i))
+          else None
+        assert(candidates.forall(_.nonEmpty))
         val index = candidates.map(c => spark.sparkContext.broadcast(Similarity.candidateIndex(c)))
         val scored = Similarity.scoreWindows(e.histories, i.histories, e.nEntities, i.nEntities,
           cfg, index)
@@ -159,18 +178,35 @@ class SimilarityPipelineSpec extends SparkSpec {
     val saved = spark.conf.get(key)
     val runs = try for (n <- Seq(1, 7, 64)) yield {
       spark.conf.set(key, n.toString)
-      withPrepared(pair.e, pair.i) { (e, i) =>
-        def stats(p: Slim.Prepared) = (p.nEntities, p.meanLength, p.minWin, p.maxWin, p.norms)
-        def rows(c: Option[Array[(Long, Long)]]) = Slim.scorePairs(e, i, cfg, c)
-          .map(p => (p.uid, p.vid) -> (p.score, p.comparisons, p.alibis)).toMap
-        (n, stats(e), stats(i), rows(None), rows(Some(candidates)))
+      def stats(p: Slim.Prepared) = (p.nEntities, p.meanLength, p.minWin, p.maxWin, p.norms)
+      def rows(e: Slim.Prepared, i: Slim.Prepared, c: Option[Array[(Long, Long)]]) =
+        Slim.scorePairs(e, i, cfg, c).map(p => (p.uid, p.vid) -> (p.score, p.comparisons, p.alibis)).toMap
+      val bf = withPrepared(pair.e, pair.i) { (e, i) =>
+        (stats(e), stats(i), rows(e, i, None), rows(e, i, Some(candidates)))
       }
+      // LSH with signatures finer than the scoring level: its own candidates.
+      val fine = withStage1(pair.e, pair.i, FineCfg) { st =>
+        val c = Slim.lshCandidates(st, FineLsh)
+        (stats(st.e), stats(st.i), c.toSet, rows(st.e, st.i, Some(c)))
+      }
+      (n, bf, fine)
     } finally spark.conf.set(key, saved)
-    val (_, e0, i0, all0, some0) = runs.head
+    val (_, (e0, i0, all0, some0), fine0) = runs.head
     assert(all0.nonEmpty && some0.nonEmpty && some0.size < all0.size)
-    for ((n, e, i, all, some) <- runs.tail) {
+    // The coarsened histories are stage 1 at the scoring level.
+    assert(fine0._1 == e0 && fine0._2 == i0, "stage 1 with a finer signature level")
+    assert(fine0._3.nonEmpty && fine0._4.keySet.subsetOf(fine0._3))
+    for ((k, (s, comps, alibis)) <- fine0._4) {
+      val (s0, comps0, alibis0) = all0(k)
+      assert(comps == comps0 && alibis == alibis0 && math.abs(s - s0) <= 1e-12 * math.abs(s0),
+        s"finer signature level, pair $k")
+    }
+    for ((n, (e, i, all, some), fine) <- runs.tail) {
       assert(e == e0 && i == i0, s"stage 1 at $n partitions")
-      for ((name, got, want) <- Seq(("all pairs", all, all0), ("candidates", some, some0))) {
+      assert(fine._1 == e0 && fine._2 == i0 && fine._3 == fine0._3,
+        s"stage 1 with a finer signature level at $n partitions")
+      for ((name, got, want) <- Seq(("all pairs", all, all0), ("candidates", some, some0),
+             ("finer-level candidates", fine._4, fine0._4))) {
         assert(got.keySet == want.keySet, s"$name at $n partitions: pairs")
         for ((k, (s, comps, alibis)) <- got) {
           val (s0, comps0, alibis0) = want(k)

@@ -60,9 +60,11 @@ class SlimIntegrationSpec extends SparkSpec {
     assert(lshF1 >= 0.6 * bfF1, s"relative F1 ${lshF1 / bfF1}")
   }
 
+  /** Every window-sharing pair's brute-force score. */
+  private lazy val bruteForce = repro.exp.Experiments.slimScores(
+    repro.exp.Experiments.Scenario("integration", pair), cfg)
+
   test("every matched LSH edge weighs the brute-force score of its pair") {
-    val bruteForce = repro.exp.Experiments.slimScores(
-      repro.exp.Experiments.Scenario("integration", pair), cfg)
     assert(lsh.matched.nonEmpty)
     for (m <- lsh.matched) {
       val s = bruteForce((m.u, m.v))
@@ -73,6 +75,26 @@ class SlimIntegrationSpec extends SparkSpec {
   test("LSH candidates from stage 1's window range equal those from the signatures' range") {
     val fromSignatures = TestSupport.candidatePairs(pair.e, pair.i, lshCfg.lsh.get, cfg.windowSec)
     assert(lsh.nCandidates == fromSignatures._1.count())
+  }
+
+  /** LSH with signatures finer than the scoring level: stage 1 bins at the
+    * signature level and stage 3 reads the histories coarsened to level 14.
+    */
+  private val lshFineCfg = cfg.copy(lsh = Some(Lsh.LshConfig(t = 0.5, sigLevel = 16,
+    stepWindows = 8, numBuckets = 4096)))
+
+  test("LSH at a signature level finer than the scoring level: the signatures' candidates") {
+    val want = TestSupport.candidatePairs(pair.e, pair.i, lshFineCfg.lsh.get, cfg.windowSec)._1
+      .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    val stage1 = Slim.prepare(pair.e, pair.i, lshFineCfg)
+    val got = try Slim.lshCandidates(stage1, lshFineCfg.lsh.get) finally stage1.unpersist()
+    assert(want.nonEmpty && got.toSet == want && got.length == want.size)
+    // Stage 3 scores the candidates at level 14, as brute force does.
+    val run = Slim.link(spark, pair.e, pair.i, lshFineCfg)
+    assert(run.nCandidates == want.size)
+    assert(run.matched.nonEmpty)
+    for (m <- run.matched)
+      assert(math.abs(m.w - bruteForce((m.u, m.v))) <= 1e-9, s"pair (${m.u}, ${m.v})")
   }
 
   test("ablations change the scores as designed") {
@@ -181,30 +203,36 @@ class SlimIntegrationSpec extends SparkSpec {
       recordsDf(spark, entity(101, 10.0) ++ entity(102, 40.0)))
   }
 
-  test("a warm link runs at most 4 Spark jobs (brute force) and 6 (LSH)") {
-    // Stage 1 of both datasets is one job chain, so is the LSH pass; no
-    // reduction that the driver collects shuffles first.
-    val runs = for (c <- Seq(cfg, lshCfg)) yield {
+  test("a warm link runs at most 4 Spark jobs (brute force) and 4 (LSH)") {
+    // Stage 1 of both datasets is one job chain and also counts the LSH
+    // signatures, whose candidates the driver computes; no reduction that
+    // the driver collects shuffles first.
+    val runs = for (c <- Seq(cfg, lshCfg, lshFineCfg)) yield {
       Slim.link(spark, smallE, smallI, c) // warm-up, not counted
       var r: Slim.SlimResult = null
       (jobsDuring { r = Slim.link(spark, smallE, smallI, c) }, r)
     }
-    val Seq((bfJobs, bfRun), (lshJobs, lshRun)) = runs
-    assert(bfRun.links.nonEmpty && lshRun.nCandidates > 0)
+    val Seq((bfJobs, bfRun), (lshJobs, lshRun), (fineJobs, fineRun)) = runs
+    assert(bfRun.links.nonEmpty && lshRun.nCandidates > 0 && fineRun.nCandidates > 0)
     assert(bfJobs <= 4, s"brute force: $bfJobs jobs")
-    assert(lshJobs <= 6, s"LSH: $lshJobs jobs")
+    assert(lshJobs <= 4, s"LSH: $lshJobs jobs")
+    assert(fineJobs <= 4, s"LSH at signature level 16: $fineJobs jobs")
   }
 
   test("a link that throws leaves no histories cached") {
     def cached = (CachedPlans.count(spark), spark.sparkContext.getPersistentRDDs.keySet)
     val before = cached
-    // A NaN latitude fails stage 1's cell UDF; an LSH level beyond the grid
-    // fails stage 2, after stage 1 has cached the histories.
+    // A NaN latitude fails stage 1's cell UDF, and so does an LSH signature
+    // level beyond the grid, at which stage 1 bins.
     val nan = recordsDf(spark, Seq((1L, 0L, Double.NaN, 10.0), (1L, 900L, 10.0, 10.0)))
     intercept[Exception](Slim.link(spark, nan, smallI, cfg))
     assert(cached == before, "after a stage-1 failure")
+    // Behind a repartition the UDF is not evaluated while the cache is
+    // planned, so the failure comes from stage 1's collect.
+    intercept[Exception](Slim.link(spark, nan.repartition(2), smallI, cfg))
+    assert(cached == before, "after a failure in stage 1's collect")
     intercept[Exception](Slim.link(spark, smallE, smallI,
       cfg.copy(lsh = Some(Lsh.LshConfig(sigLevel = Grid.MaxLevel + 1)))))
-    assert(cached == before, "after a stage-2 failure")
+    assert(cached == before, "after a signature-level failure")
   }
 }
