@@ -1,9 +1,8 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import repro.core.{Grid, Histories, Proximity, Tuning}
+import repro.core.{Grid, Histories, Proximity, Similarity, Tuning}
 
 /** ST-Link baseline (Basık et al., IEEE TMC 2018; paper §5.5, DESIGN S6).
   *
@@ -68,65 +67,65 @@ object STLink {
     }
   }
 
+  /** ST-Link over two location datasets `(id, ts, lat, lon)` on SLIM's stage-1
+    * plan: one shuffle bins both into one cache partitioned by window
+    * ([[Histories.buildSides]]), and two passes group it by `win` (no
+    * exchange), reduce per partition and finish on the driver. Pass 1 gives
+    * the record comparisons and each co-located pair's shared bins per cell,
+    * summed into `cooc` and `ldiv`; pass 2 counts the alibi cell pairs of the
+    * pairs past (k, l), which reach the tasks as a broadcast index.
+    */
   def run(spark: SparkSession, recordsE: DataFrame, recordsI: DataFrame,
           cfg: Config): Result = {
     val t0 = System.nanoTime()
-    val binsE = Histories.build(recordsE, cfg.level, cfg.windowSec)
-      .select(col("id").as("uid"), col("win"), col("cell"), col("cnt").as("ucnt")).cache()
-    val binsI = Histories.build(recordsI, cfg.level, cfg.windowSec)
-      .select(col("id").as("vid"), col("win"), col("cell"), col("cnt").as("vcnt")).cache()
+    import spark.implicits._
+    val hist = Histories.buildSides(recordsE, recordsI, cfg.level, cfg.windowSec).cache()
+    try {
+      val windows = hist.select("win", "side", "id", "cell", "cnt")
+        .groupBy("win").as[Long, (Long, Int, Long, Long, Long)]
+      val pass1 = windows.flatMapGroups { (_, rows) =>
+        val (es, is) = sides(rows)
+        val iByCell = is.groupMap(_._4)(_._3)
+        Iterator.single((es.map(_._5).sum * is.map(_._5).sum,
+          for ((_, _, u, cell, _) <- es; v <- iByCell.getOrElse(cell, Array.emptyLongArray))
+            yield (u, v, cell)))
+      }.mapPartitions { ws =>
+        val shared = collection.mutable.HashMap.empty[(Long, Long, Long), Long].withDefaultValue(0L)
+        val comparisons = ws.map { case (c, s) => s.foreach(shared(_) += 1); c }.sum
+        Iterator.single((comparisons, shared.toSeq))
+      }.collect()
+      // Shared windows per (u, v, cell), then per pair: (cooc, ldiv).
+      val cooc = pass1.toSeq.flatMap(_._2).groupMapReduce(_._1)(_._2)(_ + _).toSeq
+        .groupMapReduce(r => (r._1._1, r._1._2))(r => (r._2, 1L))((a, b) => (a._1 + b._1, a._2 + b._2))
+      val kUsed = cfg.k.getOrElse(autoThreshold(cooc.values.map(_._1).toSeq))
+      val lUsed = cfg.l.getOrElse(autoThreshold(cooc.values.map(_._2).toSeq))
+      val passing = cooc.collect { case (p, (n, ldiv)) if n >= kUsed && ldiv >= lUsed => p -> n }
 
-    // Cost metric: all record pairs within each shared window are compared.
-    val recE = recordsE.select(col("id"), floor(col("ts") / cfg.windowSec).as("win"))
-      .groupBy("win").agg(count(lit(1)).as("ne"))
-    val recI = recordsI.select(col("id"), floor(col("ts") / cfg.windowSec).as("win"))
-      .groupBy("win").agg(count(lit(1)).as("ni"))
-    val comparisons = recE.join(recI, "win")
-      .agg(coalesce(sum(col("ne") * col("ni")), lit(0L))).first().getLong(0)
-
-    // Co-occurrences: shared (window, cell) bins.
-    val cooc = binsE.join(binsI, Seq("win", "cell"))
-      .groupBy("uid", "vid")
-      .agg(count(lit(1)).as("cooc"), countDistinct("cell").as("ldiv"))
-      .cache()
-
-    val kUsed = cfg.k.getOrElse(
-      autoThreshold(cooc.select("cooc").collect().map(_.getLong(0)).toSeq))
-    val lUsed = cfg.l.getOrElse(
-      autoThreshold(cooc.select("ldiv").collect().map(_.getLong(0)).toSeq))
-
-    val passing = cooc.filter(col("cooc") >= kUsed && col("ldiv") >= lUsed)
-
-    // Alibi check, only for pairs past the (k, l) prefilter: count same-window
-    // bin pairs farther apart than the runaway distance.
-    val runaway = Proximity.runawayKm(cfg.windowSec, cfg.speedKmPerMin)
-    val alibiUdf = udf { (u: Seq[Long], v: Seq[Long]) =>
-      var n = 0L
-      for (a <- u; b <- v) if (Grid.minDistanceKm(a, b) > runaway) n += 1
-      n
-    }
-    val winE = binsE.groupBy("uid", "win").agg(collect_list("cell").as("ucells"))
-    val winI = binsI.groupBy("vid", "win").agg(collect_list("cell").as("vcells"))
-    val alibis = passing.select("uid", "vid")
-      .join(winE, Seq("uid")).join(winI, Seq("vid", "win"))
-      .select(col("uid"), col("vid"), alibiUdf(col("ucells"), col("vcells")).as("na"))
-      .groupBy("uid", "vid").agg(sum("na").as("alibis"))
-
-    val survivors = passing.join(alibis, Seq("uid", "vid"), "left")
-      .filter(coalesce(col("alibis"), lit(0L)) <= cfg.alibiTolerance)
-      .select(col("uid"), col("vid"), col("cooc").cast("double").as("score"))
-      .collect()
-      .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
-
-    // Ambiguity removal: an entity with multiple surviving partners links to none.
-    val byU = survivors.keys.groupBy(_._1).view.mapValues(_.size).toMap
-    val byV = survivors.keys.groupBy(_._2).view.mapValues(_.size).toMap
-    val links = survivors.keys.toSeq
-      .filter { case (u, v) => byU(u) == 1 && byV(v) == 1 }
-      .sorted
-
-    binsE.unpersist(); binsI.unpersist(); cooc.unpersist()
-    Result(links, survivors, kUsed, lUsed, comparisons,
-      (System.nanoTime() - t0) / 1000000L)
+      val alibis = if (passing.isEmpty) Map.empty[(Long, Long), Long] else {
+        val runaway = Proximity.runawayKm(cfg.windowSec, cfg.speedKmPerMin)
+        val index = spark.sparkContext.broadcast(Similarity.candidateIndex(passing.keys))
+        try windows.flatMapGroups { (_, rows) =>
+          val (es, is) = sides(rows)
+          val iCells = is.groupMap(_._3)(_._4)
+          for ((u, us) <- es.groupMap(_._3)(_._4).iterator;
+               v <- index.value.getOrElse(u, Array.emptyLongArray); vs <- iCells.get(v))
+            yield ((u, v), us.map(a => vs.count(b => Grid.minDistanceKm(a, b) > runaway).toLong).sum)
+        }.mapPartitions(ps => ps.toSeq.groupMapReduce(_._1)(_._2)(_ + _).iterator)
+          .collect().toSeq.groupMapReduce(_._1)(_._2)(_ + _)
+        finally index.destroy()
+      }
+      val survivors = passing.collect {
+        case (p, n) if alibis.getOrElse(p, 0L) <= cfg.alibiTolerance => p -> n.toDouble
+      }
+      // Ambiguity removal: an entity with multiple surviving partners links to none.
+      val (byU, byV) = (survivors.keys.groupBy(_._1), survivors.keys.groupBy(_._2))
+      val links = survivors.keys.toSeq.filter { case (u, v) => byU(u).size == 1 && byV(v).size == 1 }
+      Result(links.sorted, survivors, kUsed, lUsed, pass1.map(_._1).sum,
+        (System.nanoTime() - t0) / 1000000L)
+    } finally hist.unpersist()
   }
+
+  /** One window's bins `(win, side, id, cell, cnt)`, split into E's and I's. */
+  private def sides(rows: Iterator[(Long, Int, Long, Long, Long)]) =
+    rows.toArray.partition(_._2 == Histories.SideE)
 }

@@ -40,9 +40,4 @@ object Proximity {
     val raw = if (ratio >= 2.0) Double.NegativeInfinity else math.log(2.0 - ratio) / Log2
     math.max(raw, floor)
   }
-
-  /** Proximity of two same-window cells, going through [[Grid.minDistanceKm]]. */
-  def cellProximity(cellA: Long, cellB: Long, runawayKm: Double,
-                    floor: Double = DefaultFloor): Double =
-    proximity(Grid.minDistanceKm(cellA, cellB), runawayKm, floor)
 }

@@ -150,10 +150,6 @@ object Slim {
       case None              => Some((1L, win, win))
     }
 
-  /** `sizes` as `(side, id, nbins, minWin, maxWin)` rows. */
-  private def sizeRows(sizes: Sizes): Iterator[(Int, Long, Long, Long, Long)] =
-    sizes.iterator.map { case ((s, id), (n, lo, hi)) => (s, id, n, lo, hi) }
-
   /** Stage 1 for both datasets: their histories and their length norms
     * (Eq. 2), and with LSH the signature counts. The two record sets are
     * tagged with their side and binned together ([[Histories.buildSides]]):
@@ -183,35 +179,26 @@ object Slim {
     val hist = Histories.buildSides(recordsE, recordsI, binLevel, cfg.windowSec).cache()
     val spark = hist.sparkSession
     import spark.implicits._
-    val (sizeParts, sigCounts) = try cfg.lsh match {
-      case None =>
-        (hist.select("side", "id", "win").as[(Int, Long, Long)]
-          .mapPartitions { rows =>
-            val sizes: Sizes = mutable.HashMap.empty
-            for ((s, id, win) <- rows) addBin(sizes, s, id, win)
-            sizeRows(sizes)
-          }
-          .collect().toSeq, Nil)
-      case Some(l) =>
-        val (sigLevel, step) = (l.sigLevel, l.stepWindows.toLong)
-        val parts = hist.select("side", "id", "win", "cell", "cnt").as[(Int, Long, Long, Long, Long)]
-          .mapPartitions { rows =>
-            val sizes: Sizes = mutable.HashMap.empty
-            val coarse = mutable.HashSet.empty[(Int, Long, Long, Long)]
-            val sig = mutable.HashMap.empty[(Int, Long, Long, Long), Long]
-            for ((s, id, win, cell, cnt) <- rows) {
-              if (binLevel == level || coarse.add((s, id, win, Grid.ancestorAt(cell, level))))
-                addBin(sizes, s, id, win)
-              sig.updateWith((s, id, math.floorDiv(win, step), Grid.ancestorAt(cell, sigLevel))) {
-                n => Some(n.getOrElse(0L) + cnt)
-              }
+    val sig = cfg.lsh.map(l => (l.sigLevel, l.stepWindows.toLong))
+    val parts = try hist.select("side", "id", "win", "cell", "cnt").as[(Int, Long, Long, Long, Long)]
+      .mapPartitions { rows =>
+        val sizes: Sizes = mutable.HashMap.empty
+        val coarse = mutable.HashSet.empty[(Int, Long, Long, Long)]
+        val counts = mutable.HashMap.empty[(Int, Long, Long, Long), Long]
+        for ((s, id, win, cell, cnt) <- rows) {
+          if (binLevel == level || coarse.add((s, id, win, Grid.ancestorAt(cell, level))))
+            addBin(sizes, s, id, win)
+          for ((sigLevel, step) <- sig)
+            counts.updateWith((s, id, math.floorDiv(win, step), Grid.ancestorAt(cell, sigLevel))) {
+              n => Some(n.getOrElse(0L) + cnt)
             }
-            Iterator.single((sizeRows(sizes).toSeq,
-              sig.iterator.map { case ((s, id, q, c), n) => (s, id, q, c, n) }.toSeq))
-          }
-          .collect()
-        (parts.toSeq.flatMap(_._1), parts.toSeq.flatMap(_._2))
-    } catch { case t: Throwable => hist.unpersist(); throw t }
+        }
+        Iterator.single((sizes.toSeq.map { case ((s, id), (n, lo, hi)) => (s, id, n, lo, hi) },
+          counts.iterator.map { case ((s, id, q, c), n) => (s, id, q, c, n) }.toSeq))
+      }
+      .collect().toSeq
+    catch { case t: Throwable => hist.unpersist(); throw t }
+    val (sizeParts, sigCounts) = (parts.flatMap(_._1), parts.flatMap(_._2))
     val sizes = sizeParts.groupMapReduce(r => (r._1, r._2))(r => (r._3, r._4, r._5)) { (a, b) =>
       (a._1 + b._1, math.min(a._2, b._2), math.max(a._3, b._3))
     }

@@ -1,7 +1,8 @@
 package repro.baselines
 
+import org.apache.spark.sql.CachedPlans
 import repro.SparkSpec
-import repro.core.Metrics
+import repro.core.{Metrics, TestSupport}
 import repro.core.TestSupport.recordsDf
 import repro.mobility.MobilityGen
 
@@ -23,8 +24,11 @@ class STLinkSpec extends SparkSpec {
     assert(STLink.autoThreshold(Seq(5L, 5L, 5L)) == 2)
   }
 
+  /** The auto-(k, l) run on the pair. */
+  private lazy val auto = STLink.run(spark, pair.e, pair.i, STLink.Config())
+
   test("ST-Link links co-occurring entities and respects one-to-one-ness") {
-    val r = STLink.run(spark, pair.e, pair.i, STLink.Config())
+    val r = auto
     assert(r.links.nonEmpty, "should find some links on dense co-located data")
     assert(r.links.map(_._1).distinct.size == r.links.size)
     assert(r.links.map(_._2).distinct.size == r.links.size)
@@ -80,5 +84,59 @@ class STLinkSpec extends SparkSpec {
     val i = recordsDf(spark, Seq((2L, 20L, 10.0, 10.0), (2L, 1000L, 10.0, 10.0)))
     val r = STLink.run(spark, e, i, STLink.Config(k = Some(1), l = Some(1)))
     assert(r.comparisons == 2 * 1 + 0) // window 0: 2x1; window 1: E absent
+  }
+
+  test("ST-Link equals the DataFrame reference at 1, 7 and 64 partitions") {
+    // Each partition reduces its own windows and the driver merges them, so
+    // the result must not depend on the partitioning.
+    def exact(r: STLink.Result) = r.copy(elapsedMs = 0)
+    // At 0.5 km/min (a 7.5 km runaway distance) some passing pairs have
+    // alibis, so the tolerance decides which pairs survive.
+    val explicit = STLink.Config(k = Some(3), l = Some(2), speedKmPerMin = 0.5)
+    val cfgs = Seq(STLink.Config(), explicit.copy(alibiTolerance = 0),
+      explicit.copy(alibiTolerance = 3))
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    def at[A](n: Int)(body: => A): A = { spark.conf.set(key, n.toString); body }
+    try {
+      // The reference runs many more jobs and tasks: once per case, at one partition.
+      val want = at(1)(cfgs.map(c => exact(STLinkReference.run(spark, pair.e, pair.i, c))))
+      // The cases differ: the tolerance drops some pairs, and auto (k, l) is not (3, 2).
+      assert(want(0).links.nonEmpty && want(1).scores.size < want(2).scores.size)
+      assert((want(0).kUsed, want(0).lUsed) != ((3, 2)))
+      for (n <- Seq(1, 7, 64); (c, w) <- cfgs.zip(want))
+        assert(at(n)(exact(STLink.run(spark, pair.e, pair.i, c))) == w, s"$c at $n partitions")
+    } finally spark.conf.set(key, saved)
+  }
+
+  test("a warm ST-Link run runs at most 4 Spark jobs") {
+    // One shuffle bins both datasets into one cache; the co-occurrence and
+    // the alibi passes group it by window with no exchange.
+    auto // warm-up, not counted
+    var r: STLink.Result = null
+    val jobs = TestSupport.jobsDuring(spark) { r = STLink.run(spark, pair.e, pair.i, STLink.Config()) }
+    assert(r.links.nonEmpty)
+    assert(jobs <= 4, s"$jobs jobs")
+  }
+
+  test("degenerate input: an empty E or I yields no links") {
+    val some = recordsDf(spark, Seq((1L, 0L, 10.0, 10.0), (1L, 900L, 10.0, 10.0)))
+    val none = recordsDf(spark, Seq.empty)
+    for ((e, i) <- Seq((none, some), (some, none))) {
+      val r = STLink.run(spark, e, i, STLink.Config())
+      assert(r.links.isEmpty && r.scores.isEmpty && r.comparisons == 0)
+      assert(r.kUsed == 2 && r.lUsed == 2)
+    }
+  }
+
+  test("a run that throws leaves no histories cached") {
+    def cached = (CachedPlans.count(spark), spark.sparkContext.getPersistentRDDs.keySet)
+    val before = cached
+    // Behind a repartition the cell UDF is not evaluated while the cache is
+    // planned, so the NaN latitude fails the first pass's collect.
+    val nan = recordsDf(spark, Seq((1L, 0L, Double.NaN, 10.0), (1L, 900L, 10.0, 10.0)))
+    val other = recordsDf(spark, Seq((2L, 0L, 10.0, 10.0)))
+    intercept[Exception](STLink.run(spark, nan.repartition(2), other, STLink.Config()))
+    assert(cached == before)
   }
 }

@@ -56,13 +56,6 @@ class ProximitySpec extends AnyFunSuite {
     assert(math.abs(Proximity.proximity(15.0, 30.0) - math.log(1.5) / math.log(2)) < 1e-12)
   }
 
-  test("cellProximity: same cell 1, distant cells at the floor") {
-    val sf = Grid.cellOf(37.77, -122.42, 14)
-    val ny = Grid.cellOf(40.71, -74.01, 14)
-    assert(Proximity.cellProximity(sf, sf, 30.0) == 1.0)
-    assert(Proximity.cellProximity(sf, ny, 30.0) == Proximity.DefaultFloor)
-  }
-
   test("rejects non-positive runaway") {
     intercept[IllegalArgumentException](Proximity.proximity(1.0, 0.0))
   }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.CachedPlans
 import repro.SparkSpec
 import repro.mobility.MobilityGen
@@ -165,35 +164,6 @@ class SlimIntegrationSpec extends SparkSpec {
     assert(bf.comparisons == expected)
   }
 
-  /** Spark jobs started while `body` runs. Listener events arrive
-    * asynchronously, so a marker job in a group of its own runs afterwards
-    * and the count is read once the listener has seen it.
-    */
-  private def jobsDuring(body: => Unit): Int = {
-    val sc = spark.sparkContext
-    val group = s"slim-jobs-${System.nanoTime()}"
-    val marker = s"$group-marker"
-    val jobs = new java.util.concurrent.atomic.AtomicInteger
-    val seen = scala.concurrent.Promise[Unit]()
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull match {
-          case `group`  => jobs.incrementAndGet()
-          case `marker` => seen.trySuccess(())
-          case _        =>
-        }
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobGroup(group, "counted")
-      try body finally sc.clearJobGroup()
-      sc.setJobGroup(marker, "marker")
-      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
-      scala.concurrent.Await.result(seen.future, scala.concurrent.duration.Duration(60, "s"))
-      jobs.get
-    } finally sc.removeSparkListener(listener)
-  }
-
   /** Two entities per dataset, each pair co-located in the same 16 windows:
     * an input that takes every step of both paths at little cost.
     */
@@ -210,7 +180,7 @@ class SlimIntegrationSpec extends SparkSpec {
     val runs = for (c <- Seq(cfg, lshCfg, lshFineCfg)) yield {
       Slim.link(spark, smallE, smallI, c) // warm-up, not counted
       var r: Slim.SlimResult = null
-      (jobsDuring { r = Slim.link(spark, smallE, smallI, c) }, r)
+      (TestSupport.jobsDuring(spark) { r = Slim.link(spark, smallE, smallI, c) }, r)
     }
     val Seq((bfJobs, bfRun), (lshJobs, lshRun), (fineJobs, fineRun)) = runs
     assert(bfRun.links.nonEmpty && lshRun.nCandidates > 0 && fineRun.nCandidates > 0)

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.{max, min}
 import Similarity.{AllPairs, Bin, MnnOnly, MnnWithMfn, ScoreConfig, WindowScore}
@@ -13,6 +14,35 @@ object TestSupport {
   def recordsDf(spark: SparkSession, rows: Seq[(Long, Long, Double, Double)]): DataFrame = {
     import spark.implicits._
     rows.toDF("id", "ts", "lat", "lon")
+  }
+
+  /** Spark jobs started while `body` runs. Listener events arrive
+    * asynchronously, so a marker job in a group of its own runs afterwards
+    * and the count is read once the listener has seen it.
+    */
+  def jobsDuring(spark: SparkSession)(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val group = s"counted-jobs-${System.nanoTime()}"
+    val marker = s"$group-marker"
+    val jobs = new java.util.concurrent.atomic.AtomicInteger
+    val seen = scala.concurrent.Promise[Unit]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull match {
+          case `group`  => jobs.incrementAndGet()
+          case `marker` => seen.trySuccess(())
+          case _        =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "counted")
+      try body finally sc.clearJobGroup()
+      sc.setJobGroup(marker, "marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      scala.concurrent.Await.result(seen.future, scala.concurrent.duration.Duration(60, "s"))
+      jobs.get
+    } finally sc.removeSparkListener(listener)
   }
 
   /** Exact maximum-weight matching by exhaustive search — the oracle for
