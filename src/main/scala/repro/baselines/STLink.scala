@@ -69,29 +69,28 @@ object STLink {
 
   /** ST-Link over two location datasets `(id, ts, lat, lon)` on SLIM's stage-1
     * plan: one shuffle bins both into one cache partitioned by window
-    * ([[Histories.buildSides]]), and two passes group it by `win` (no
-    * exchange), reduce per partition and finish on the driver. Pass 1 gives
-    * the record comparisons and each co-located pair's shared bins per cell,
-    * summed into `cooc` and `ldiv`; pass 2 counts the alibi cell pairs of the
-    * pairs past (k, l), which reach the tasks as a broadcast index.
+    * ([[Histories.buildSides]]), and two passes over its RDD read each
+    * partition's windows ([[Histories.windows]]), reduce them and finish on
+    * the driver. Pass 1 gives the record comparisons and each co-located
+    * pair's shared bins per cell, summed into `cooc` and `ldiv`; pass 2
+    * counts the alibi cell pairs of the pairs past (k, l), which reach the
+    * tasks as a broadcast index.
     */
   def run(spark: SparkSession, recordsE: DataFrame, recordsI: DataFrame,
           cfg: Config): Result = {
     val t0 = System.nanoTime()
-    import spark.implicits._
     val hist = Histories.buildSides(recordsE, recordsI, cfg.level, cfg.windowSec).cache()
     try {
-      val windows = hist.select("win", "side", "id", "cell", "cnt")
-        .groupBy("win").as[Long, (Long, Int, Long, Long, Long)]
-      val pass1 = windows.flatMapGroups { (_, rows) =>
-        val (es, is) = sides(rows)
-        val iByCell = is.groupMap(_._4)(_._3)
-        Iterator.single((es.map(_._5).sum * is.map(_._5).sum,
-          for ((_, _, u, cell, _) <- es; v <- iByCell.getOrElse(cell, Array.emptyLongArray))
-            yield (u, v, cell)))
-      }.mapPartitions { ws =>
+      val bins = Histories.sideBins(hist)
+      val pass1 = bins.mapPartitions { rows =>
         val shared = collection.mutable.HashMap.empty[(Long, Long, Long), Long].withDefaultValue(0L)
-        val comparisons = ws.map { case (c, s) => s.foreach(shared(_) += 1); c }.sum
+        var comparisons = 0L
+        for ((_, es, is) <- Histories.windows(rows)) {
+          comparisons += es.map(_._5).sum * is.map(_._5).sum
+          val iByCell = is.groupMap(_._4)(_._2)
+          for ((_, u, _, cell, _) <- es; v <- iByCell.getOrElse(cell, Array.emptyLongArray))
+            shared((u, v, cell)) += 1
+        }
         Iterator.single((comparisons, shared.toSeq))
       }.collect()
       // Shared windows per (u, v, cell), then per pair: (cooc, ldiv).
@@ -104,14 +103,16 @@ object STLink {
       val alibis = if (passing.isEmpty) Map.empty[(Long, Long), Long] else {
         val runaway = Proximity.runawayKm(cfg.windowSec, cfg.speedKmPerMin)
         val index = spark.sparkContext.broadcast(Similarity.candidateIndex(passing.keys))
-        try windows.flatMapGroups { (_, rows) =>
-          val (es, is) = sides(rows)
-          val iCells = is.groupMap(_._3)(_._4)
-          for ((u, us) <- es.groupMap(_._3)(_._4).iterator;
-               v <- index.value.getOrElse(u, Array.emptyLongArray); vs <- iCells.get(v))
-            yield ((u, v), us.map(a => vs.count(b => Grid.minDistanceKm(a, b) > runaway).toLong).sum)
-        }.mapPartitions(ps => ps.toSeq.groupMapReduce(_._1)(_._2)(_ + _).iterator)
-          .collect().toSeq.groupMapReduce(_._1)(_._2)(_ + _)
+        try bins.mapPartitions { rows =>
+          val counts = collection.mutable.HashMap.empty[(Long, Long), Long].withDefaultValue(0L)
+          for ((_, es, is) <- Histories.windows(rows)) {
+            val iCells = is.groupMap(_._2)(_._4)
+            for ((u, us) <- es.groupMap(_._2)(_._4); v <- index.value.getOrElse(u, Array.emptyLongArray);
+                 vs <- iCells.get(v))
+              counts((u, v)) += us.map(a => vs.count(b => Grid.minDistanceKm(a, b) > runaway).toLong).sum
+          }
+          counts.iterator
+        }.collect().toSeq.groupMapReduce(_._1)(_._2)(_ + _)
         finally index.destroy()
       }
       val survivors = passing.collect {
@@ -124,8 +125,4 @@ object STLink {
         (System.nanoTime() - t0) / 1000000L)
     } finally hist.unpersist()
   }
-
-  /** One window's bins `(win, side, id, cell, cnt)`, split into E's and I's. */
-  private def sides(rows: Iterator[(Long, Int, Long, Long, Long)]) =
-    rows.toArray.partition(_._2 == Histories.SideE)
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.UserDefinedFunction
@@ -26,14 +27,13 @@ object Histories {
     * the paper's mobility history tree.
     *
     * The output is hash-partitioned by `win` (into
-    * `spark.sql.shuffle.partitions` partitions). Everything SLIM derives from
-    * the histories per window is keyed by the window: the idf per
-    * `(win, cell)` and the stage-3 cogroup on `win`
-    * ([[Similarity.scoreWindows]]). So one shuffle here feeds both datasets'
-    * windows to the scorer, and a cached copy keeps the partitioning (Spark
-    * does not re-plan a cached plan's output partitioning by default).
-    * Correctness never depends on it: without it Spark plans the exchanges
-    * back.
+    * `spark.sql.shuffle.partitions` partitions), so all rows of a window are
+    * in one partition. Everything SLIM derives from the histories per window
+    * is keyed by the window: the idf per `(win, cell)` and stage 3's scoring
+    * of each window ([[Similarity.scoreWindows]]), which reads each
+    * partition's windows whole ([[windows]]). So one shuffle here feeds both
+    * datasets' windows to the scorer, and a cached copy keeps the
+    * partitioning.
     */
   def build(records: DataFrame, level: Int, windowSec: Long): DataFrame =
     binned(records, Nil, level, windowSec)
@@ -76,18 +76,29 @@ object Histories {
       .agg(count(lit(1)).as("cnt"))
   }
 
-  /** Histories binned at a finer level, viewed at the coarser `level`: each
-    * bin's cell becomes its [[Grid.ancestorAt]] `level` and the counts of the
-    * bins that merge are summed. Every other column stays a grouping key.
-    * `ancestorAt(cellOf(p, L), l) == cellOf(p, l)`, so the result holds the
-    * rows that binning the records at `level` gives. `win` is a key, so on
-    * histories partitioned by window this plans no exchange.
+  /** A row of [[buildSides]]: `(side, id, win, cell, cnt)`. */
+  type SideBin = (Int, Long, Long, Long, Long)
+
+  /** [[buildSides]]' rows as an RDD, in the histories' partitions. Catalyst
+    * plans the binning when this is called, once; the per-partition passes
+    * over the RDD are lambdas it would not look into anyway.
     */
-  def coarsen(hist: DataFrame, level: Int): DataFrame = {
-    val ancestor = udf((cell: Long) => Grid.ancestorAt(cell, level))
-    val keys = hist.columns.toSeq.filterNot(Set("cell", "cnt")).map(col)
-    hist.groupBy(keys :+ ancestor(col("cell")).as("cell"): _*).agg(sum("cnt").as("cnt"))
+  def sideBins(hist: DataFrame): RDD[SideBin] = {
+    val spark = hist.sparkSession
+    import spark.implicits._
+    hist.select("side", "id", "win", "cell", "cnt").as[SideBin].rdd
   }
+
+  /** One partition of [[sideBins]] as its windows in ascending order, each
+    * with E's rows and I's. On histories partitioned by window both sides of
+    * a window are in one partition, so each window is whole. The partition's
+    * rows are held in memory while its windows are read.
+    */
+  def windows(rows: Iterator[SideBin]): Iterator[(Long, Array[SideBin], Array[SideBin])] =
+    rows.toArray.groupBy(_._3).toSeq.sortBy(_._1).iterator.map { case (win, bins) =>
+      val (e, i) = bins.partition(_._1 == SideE)
+      (win, e, i)
+    }
 
   /** Inverse document frequency of each time-location bin (paper Eq. 3):
     * `idf(e) = ln(|U| / |{u : e in H_u}|)` over the given history set.

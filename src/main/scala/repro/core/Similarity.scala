@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
@@ -264,34 +265,33 @@ object Similarity {
   def candidateIndex(pairs: Iterable[(Long, Long)]): Map[Long, Array[Long]] =
     pairs.groupMap(_._1)(_._2).map { case (u, vs) => u -> vs.toArray.sorted }
 
-  /** Stage 3: scores every shared window straight from the two datasets'
-    * histories `(id, win, cell, ...)` from [[Histories.build]].
-    *
-    * The histories are grouped by `win` and cogrouped, so on histories
-    * partitioned by window this plans no exchange at all. Per window, each
-    * side's idf is counted among its rows ([[windowSide]]) and every cross
-    * pair `(u, v)` is scored by one [[Kernel]]; with `candidates` (an index
-    * from [[candidateIndex]]) only the candidate pairs are scored. Each
-    * partition sums its windows' `(raw, comparisons, alibis)` per pair, in
-    * window order, and emits one `(uid, vid, raw, comparisons, alibis)` row
-    * per pair it saw: a pair's rows from all partitions add up to its
-    * unnormalized totals, which the caller sums ([[Slim.scorePairs]]) and
-    * divides by `L(u) L(v)`.
+  /** Stage 3: scores every shared window, one pass over the histories'
+    * partitions. `bins` are [[Histories.sideBins]] binned at `binLevel`;
+    * each partition's windows are read whole and in ascending order
+    * ([[Histories.windows]]), and their cells viewed at the scoring `level`
+    * (each bin's [[Grid.ancestorAt]] `level`, once per `(id, cell)`, when
+    * binned finer). Per window, each side's idf is counted among its rows
+    * ([[windowSide]]) and every cross pair `(u, v)` is scored by one
+    * [[Kernel]]; with `candidates` (an index from [[candidateIndex]]) only
+    * the candidate pairs are scored. Each partition sums its windows'
+    * `(raw, comparisons, alibis)` per pair, in window order, and emits one
+    * `(uid, vid, raw, comparisons, alibis)` row per pair it saw: a pair's
+    * rows from all partitions add up to its unnormalized totals, which the
+    * caller sums ([[Slim.scorePairs]]) and divides by `L(u) L(v)`.
     */
-  def scoreWindows(histE: DataFrame, histI: DataFrame, nE: Long, nI: Long, cfg: ScoreConfig,
-                   candidates: Option[Broadcast[Map[Long, Array[Long]]]] = None): DataFrame = {
-    val spark = histE.sparkSession
-    import spark.implicits._
-    def byWindow(hist: DataFrame) =
-      hist.select("win", "id", "cell").groupBy("win").as[Long, (Long, Long, Long)]
-    byWindow(histE).cogroup(byWindow(histI)) { (_, es, is) =>
-      if (!es.hasNext || !is.hasNext) Iterator.empty
-      else {
-        val e = windowSide(es.map(r => (r._2, r._3)), nE)
-        val i = windowSide(is.map(r => (r._2, r._3)), nI)
-        val keep = candidates.map(_.value).orNull
-        val kernel = new Kernel(cfg)
-        val out = mutable.ArrayBuffer.empty[(Long, Long, Double, Long, Long)]
+  def scoreWindows(bins: RDD[Histories.SideBin], binLevel: Int, level: Int, nE: Long, nI: Long,
+                   cfg: ScoreConfig, candidates: Option[Broadcast[Map[Long, Array[Long]]]] = None)
+      : RDD[(Long, Long, Double, Long, Long)] =
+    bins.mapPartitions { rows =>
+      def cells(side: Array[Histories.SideBin]) =
+        if (binLevel == level) side.iterator.map(r => (r._2, r._4))
+        else side.iterator.map(r => (r._2, Grid.ancestorAt(r._4, level))).distinct
+      val keep = candidates.map(_.value).orNull
+      val kernel = new Kernel(cfg)
+      val sums = mutable.HashMap.empty[(Long, Long), (Double, Long, Long)]
+      for ((_, es, is) <- Histories.windows(rows) if es.nonEmpty && is.nonEmpty) {
+        val e = windowSide(cells(es), nE)
+        val i = windowSide(cells(is), nI)
         for (x <- e.ids.indices) {
           val u = e.ids(x)
           val partners = if (keep == null) null else keep.getOrElse(u, Array.emptyLongArray)
@@ -301,23 +301,19 @@ object Similarity {
             if (partners == null || java.util.Arrays.binarySearch(partners, v) >= 0) {
               val nv = i.from(y + 1) - i.from(y)
               kernel.score(e.cells, e.idf, e.from(x), nu, i.cells, i.idf, i.from(y), nv)
-              out += ((u, v, kernel.raw, nu.toLong * nv, kernel.alibis))
+              val (raw, comparisons, alibis) = (kernel.raw, nu.toLong * nv, kernel.alibis)
+              sums.updateWith((u, v)) {
+                case Some((r, c, a)) => Some((r + raw, c + comparisons, a + alibis))
+                case None            => Some((raw, comparisons, alibis))
+              }
             }
           }
         }
-        out.iterator
-      }
-    }.mapPartitions { windows =>
-      val sums = mutable.HashMap.empty[(Long, Long), (Double, Long, Long)]
-      for ((u, v, raw, comparisons, alibis) <- windows) sums.updateWith((u, v)) {
-        case Some((r, c, a)) => Some((r + raw, c + comparisons, a + alibis))
-        case None            => Some((raw, comparisons, alibis))
       }
       sums.iterator.map { case ((u, v), (raw, comparisons, alibis)) =>
         (u, v, raw, comparisons, alibis)
       }
-    }.toDF("uid", "vid", "raw", "comparisons", "alibis")
-  }
+    }
 
   /** Reference edge scoring: the row join on the shared window. It is not
     * on [[Slim.link]]'s path ([[scoreWindows]] is); the benchmark's staged

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -7,9 +8,10 @@ import scala.collection.mutable
 
 /** End-to-end SLIM pipeline (paper Alg. 1 + §3.2 + §4).
   *
-  * Stages, all DataFrame transformations until each reduction whose result
-  * the driver needs; such a reduction is done per partition on the
-  * executors and finished on the driver, so no shuffle only feeds a collect:
+  * Catalyst plans one query per link, the binning of both datasets. Each
+  * reduction whose result the driver needs is a pass over the cached bins'
+  * RDD, done per partition on the executors and finished on the driver, so
+  * no shuffle only feeds a collect:
   *  1. mobility histories + BM25 length norms of both datasets at once
   *     ([[prepare]]): the records are tagged with their side, one shuffle
   *     partitions both datasets' histories by window, which stage 3 reuses,
@@ -21,19 +23,21 @@ import scala.collection.mutable
   *     1's signature counts, and E is paired with I per bucket. No Spark
   *     job, and no second pass over the records. Brute force has no
   *     candidate list, since every pair sharing a window is scored;
-  *  3. per-window scoring ([[scorePairs]]): each window of the two cached
-  *     histories is cogrouped, its idf counted and every cross pair (the LSH
-  *     candidates only, if any) scored by one primitive kernel; each
-  *     partition sums its windows' partials per pair, and the driver adds up
-  *     the partitions' sums and divides by the length norms;
+  *  3. per-window scoring ([[scorePairs]]): a second pass reads each
+  *     partition's windows of both datasets, counts each window's idf and
+  *     scores every cross pair (the LSH candidates only, if any) with one
+  *     primitive kernel; each partition sums its windows' partials per pair,
+  *     and the driver adds up the partitions' sums and divides by the length
+  *     norms;
   *  4. (driver) greedy maximum-weight bipartite matching;
   *  5. (driver) GMM stop-threshold over matched edge weights; links above the
   *     threshold are the output.
   *
   * So a link runs one Spark action per collect: stage 1 of both datasets and
-  * the scored pairs. Each shuffle map stage runs as a Spark job of its own,
-  * and so does the cached histories' final stage: a warm link runs 4 Spark
-  * jobs, on brute force and on LSH alike.
+  * the scored pairs. The binning's shuffle map stage runs as a Spark job of
+  * its own, and so does the cached histories' final stage: a warm link runs
+  * 4 Spark jobs, on brute force and on LSH alike, and stage 3's job runs one
+  * stage over the cache.
   */
 object Slim {
 
@@ -83,25 +87,15 @@ object Slim {
       elapsedMs: Long,
   )
 
-  /** One dataset after stage 1, ready for the similarity join.
+  /** One dataset's counts after stage 1, on the driver.
     *
     * The production path builds it for both datasets at once ([[prepare]]).
     * The per-dataset reference is [[Histories.build]] of its records with
     * [[Histories.idf]] and [[Histories.lengthNorm]]: the tests and the
-    * benchmark's staged trace compare against those, and `histories`, the
-    * idf counted from it and `norms` equal them. With LSH, the signature
-    * counts of both datasets come with them in [[Stage1.sigCounts]]: on the
-    * driver, at most one per cached bin, since each
-    * `(side, id, qidx, sigCell)` is counted in at most min(step, P) of the
-    * P partitions.
+    * benchmark's staged trace compare against those, and its side of
+    * [[Stage1.histories]] at the scoring level, the idf stage 3 counts from
+    * it and `norms` equal them.
     *
-    * @param histories  the dataset's leaf bins `(id, win, cell, cnt)` at the
-    *                   scoring level: its side of [[Stage1.histories]] (if
-    *                   that is binned at a finer signature level, coarsened
-    *                   to the scoring level with no exchange), so partitioned
-    *                   by window and read from the cache until
-    *                   [[Stage1.unpersist]]; stage 3 counts the idf (Eq. 3)
-    *                   per window from them
     * @param norms      BM25 length norm L(u) (Eq. 2) of every entity, on the
     *                   driver; bit for bit the `lnorm` of
     *                   [[Histories.lengthNorm]]
@@ -114,17 +108,22 @@ object Slim {
     * @param maxWin     last window any entity occupies (Long.MinValue when
     *                   empty)
     */
-  final case class Prepared(histories: DataFrame, norms: Map[Long, Double],
-                            nEntities: Long, meanLength: Double, minWin: Long, maxWin: Long)
+  final case class Prepared(norms: Map[Long, Double], nEntities: Long, meanLength: Double,
+                            minWin: Long, maxWin: Long)
 
   /** Stage 1 of both datasets, from one Spark plan.
     *
     * @param e         dataset E
     * @param i         dataset I
     * @param histories both datasets' histories `(side, id, win, cell, cnt)`
-    *                  from [[Histories.buildSides]], cached, at the finer of
-    *                  the scoring and the signature level: `e.histories` and
-    *                  `i.histories` are its two sides at the scoring level
+    *                  from [[Histories.buildSides]], cached, at `binLevel`;
+    *                  partitioned by window and read from the cache until
+    *                  [[unpersist]]
+    * @param bins      the rows of `histories` as an RDD
+    *                  ([[Histories.sideBins]]): stages 1 and 3 are passes
+    *                  over it
+    * @param level     the scoring level
+    * @param binLevel  the finer of the scoring and the signature level
     * @param sigCounts with LSH, partial record counts
     *                  `(side, id, qidx, sigCell, cnt)` at the signature
     *                  level, each partition's own: the input of
@@ -135,6 +134,7 @@ object Slim {
     *                  partition). Empty without LSH.
     */
   final case class Stage1(e: Prepared, i: Prepared, histories: DataFrame,
+                          bins: RDD[Histories.SideBin], level: Int, binLevel: Int,
                           sigCounts: Seq[(Int, Long, Long, Long, Long)]) {
     /** Releases the cached histories of both datasets. */
     def unpersist(): Unit = histories.unpersist()
@@ -153,20 +153,19 @@ object Slim {
   /** Stage 1 for both datasets: their histories and their length norms
     * (Eq. 2), and with LSH the signature counts. The two record sets are
     * tagged with their side and binned together ([[Histories.buildSides]]):
-    * one shuffle by window and one cache serve both. One Spark action reads
-    * the cache once and collects each partition's per-entity history sizes
-    * `(side, id, nbins, minWin, maxWin)`; the driver merges them (count sum,
-    * min, max: exact) into each side's entity count, mean history length,
-    * window range and norms.
+    * one shuffle by window and one cache serve both. One pass over the
+    * cache's RDD ([[Stage1.bins]]) collects each partition's per-entity
+    * history sizes `(side, id, nbins, minWin, maxWin)`; the driver merges
+    * them (count sum, min, max: exact) into each side's entity count, mean
+    * history length, window range and norms.
     *
     * With LSH the same action collects each partition's record counts per
     * `(side, id, qidx, sigCell)` ([[Stage1.sigCounts]]): `qidx` is
     * `floorDiv(win, step)` and `sigCell` the bin cell's [[Grid.ancestorAt]]
     * the signature level. The histories are binned at the finer of the two
-    * levels. When that is the signature level, each side's
-    * [[Prepared.histories]] is the cache viewed at the scoring level
-    * ([[Histories.coarsen]], no exchange), and its bins are counted once per
-    * coarse `(win, cell)`: each partition holds all of a window's bins.
+    * levels. When that is the signature level, a history's bins are counted
+    * once per coarse `(win, cell)`, its cells' ancestors at the scoring
+    * level: each partition holds all of a window's bins.
     *
     * Driver memory is O((nE + nI) P) for P partitions, plus with LSH at most
     * one signature count per cached bin. The caller releases the cache with
@@ -177,11 +176,10 @@ object Slim {
     val level = cfg.level
     val binLevel = cfg.lsh.fold(level)(l => math.max(level, l.sigLevel))
     val hist = Histories.buildSides(recordsE, recordsI, binLevel, cfg.windowSec).cache()
-    val spark = hist.sparkSession
-    import spark.implicits._
     val sig = cfg.lsh.map(l => (l.sigLevel, l.stepWindows.toLong))
-    val parts = try hist.select("side", "id", "win", "cell", "cnt").as[(Int, Long, Long, Long, Long)]
-      .mapPartitions { rows =>
+    val (bins, parts) = try {
+      val bins = Histories.sideBins(hist)
+      (bins, bins.mapPartitions { rows =>
         val sizes: Sizes = mutable.HashMap.empty
         val coarse = mutable.HashSet.empty[(Int, Long, Long, Long)]
         val counts = mutable.HashMap.empty[(Int, Long, Long, Long), Long]
@@ -195,26 +193,23 @@ object Slim {
         }
         Iterator.single((sizes.toSeq.map { case ((s, id), (n, lo, hi)) => (s, id, n, lo, hi) },
           counts.iterator.map { case ((s, id, q, c), n) => (s, id, q, c, n) }.toSeq))
-      }
-      .collect().toSeq
-    catch { case t: Throwable => hist.unpersist(); throw t }
+      }.collect().toSeq)
+    } catch { case t: Throwable => hist.unpersist(); throw t }
     val (sizeParts, sigCounts) = (parts.flatMap(_._1), parts.flatMap(_._2))
     val sizes = sizeParts.groupMapReduce(r => (r._1, r._2))(r => (r._3, r._4, r._5)) { (a, b) =>
       (a._1 + b._1, math.min(a._2, b._2), math.max(a._3, b._3))
     }
-    val scored = if (binLevel == level) hist else Histories.coarsen(hist, level)
     def side(s: Int): Prepared = {
       val rows = sizes.collect { case ((`s`, id), size) => id -> size }
       val n = rows.size.toLong
       val mean = if (n == 0) 0.0 else rows.valuesIterator.map(_._1).sum.toDouble / n
       // Histories.lengthNorm's column expression, in its operation order.
       val b = cfg.bParam
-      Prepared(scored.filter(col("side") === s).drop("side"),
-        rows.map { case (id, (nbins, _, _)) => id -> ((1.0 - b) + b * nbins / mean) }, n, mean,
+      Prepared(rows.map { case (id, (nbins, _, _)) => id -> ((1.0 - b) + b * nbins / mean) }, n, mean,
         rows.valuesIterator.map(_._2).minOption.getOrElse(Long.MaxValue),
         rows.valuesIterator.map(_._3).maxOption.getOrElse(Long.MinValue))
     }
-    Stage1(side(Histories.SideE), side(Histories.SideI), hist, sigCounts)
+    Stage1(side(Histories.SideE), side(Histories.SideI), hist, bins, level, binLevel, sigCounts)
   }
 
   /** Stage 2: the LSH candidate pairs of a link's two datasets, on the
@@ -241,24 +236,24 @@ object Slim {
     e.crossJoin(i)
   }
 
-  /** Stage 3: every pair of `e` and `i` entities that shares a window (only
-    * the `candidates`, if given) with its score and cost counters, from one
-    * collect of [[Similarity.scoreWindows]]' per-partition sums. The
+  /** Stage 3: every pair of the two datasets' entities that shares a window
+    * (only the `candidates`, if given) with its score and cost counters,
+    * from one collect of [[Similarity.scoreWindows]]' per-partition sums
+    * over [[Stage1.bins]]: one Spark job of one stage over the cache. The
     * candidates reach the tasks as a broadcast index. The driver adds up
     * each pair's partition sums in partition order and divides by the norms:
     * `raw / (L(u) L(v))`. Driver memory is O(pairs sharing a window · P)
     * for P partitions.
     */
-  def scorePairs(e: Prepared, i: Prepared, cfg: Similarity.ScoreConfig,
+  def scorePairs(stage1: Stage1, cfg: Similarity.ScoreConfig,
                  candidates: Option[Array[(Long, Long)]] = None): Array[Similarity.PairScore] = {
-    val sc = e.histories.sparkSession.sparkContext
-    val index = candidates.map(c => sc.broadcast(Similarity.candidateIndex(c)))
+    val (e, i) = (stage1.e, stage1.i)
+    val index = candidates.map(c => stage1.bins.sparkContext.broadcast(Similarity.candidateIndex(c)))
     val rows =
-      try Similarity.scoreWindows(e.histories, i.histories, e.nEntities, i.nEntities, cfg, index)
-        .collect()
+      try Similarity.scoreWindows(stage1.bins, stage1.binLevel, stage1.level, e.nEntities,
+        i.nEntities, cfg, index).collect()
       finally index.foreach(_.destroy())
-    val sums = rows.groupMapReduce(r => (r.getLong(0), r.getLong(1)))(
-      r => (r.getDouble(2), r.getLong(3), r.getLong(4))) { (a, b) =>
+    val sums = rows.groupMapReduce(r => (r._1, r._2))(r => (r._3, r._4, r._5)) { (a, b) =>
       (a._1 + b._1, a._2 + b._2, a._3 + b._3)
     }
     sums.iterator.map { case ((u, v), (raw, comparisons, alibis)) =>
@@ -290,7 +285,7 @@ object Slim {
       val nCandidates = candidates.fold(prepE.nEntities * prepI.nEntities)(_.length.toLong)
 
       val scored = if (!bothSides) Array.empty[Similarity.PairScore]
-        else scorePairs(prepE, prepI, cfg.scoreConfig, candidates)
+        else scorePairs(stage1, cfg.scoreConfig, candidates)
       val comparisons = scored.iterator.map(_.comparisons).sum
       val alibiEntityPairs = scored.count(_.alibis > 0).toLong
       val edges = scored.iterator.filter(_.score > 0)

@@ -261,7 +261,7 @@ object Experiments {
     */
   def slimScores(sc: Scenario, cfg: Slim.SlimConfig): Map[(Long, Long), Double] = {
     val stage1 = Slim.prepare(sc.e, sc.i, cfg)
-    try Slim.scorePairs(stage1.e, stage1.i, cfg.scoreConfig).map(p => ((p.uid, p.vid), p.score)).toMap
+    try Slim.scorePairs(stage1, cfg.scoreConfig).map(p => ((p.uid, p.vid), p.score)).toMap
     finally stage1.unpersist()
   }
 

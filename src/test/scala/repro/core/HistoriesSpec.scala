@@ -124,17 +124,18 @@ class HistoriesSpec extends SparkSpec {
            (" (finer signature level)", base.copy(lsh = Some(Lsh.LshConfig(sigLevel = Level + 2)))))) {
       val stage1 = Slim.prepare(recordsE, recordsI, cfg)
       try {
-        for ((name, side, input) <- Seq((s"E$label", stage1.e, recordsE),
-               (s"I$label", stage1.i, recordsI))) {
+        for ((name, s, input) <- Seq((s"E$label", Histories.SideE, recordsE),
+               (s"I$label", Histories.SideI, recordsI))) {
+          val (side, histories) = (TestSupport.prepared(stage1, s), TestSupport.sideHistories(stage1, s))
           val hist = Histories.build(input, Level, WindowSec).cache()
           try {
             def bins(df: DataFrame) = df.select("id", "win", "cell", "cnt").collect()
               .map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3))).toSet
-            assert(bins(side.histories) == bins(hist), s"$name: histories")
+            assert(bins(histories) == bins(hist), s"$name: histories")
 
             // Stage 3 counts each window's idf from the prepared histories; it
             // must equal Spark's Eq. 3 over the whole history set bit for bit.
-            val got = side.histories.select("win", "id", "cell").collect()
+            val got = histories.select("win", "id", "cell").collect()
               .groupBy(_.getLong(0)).toSeq.flatMap { case (win, rows) =>
                 val ws = Similarity.windowSide(rows.iterator.map(r => (r.getLong(1), r.getLong(2))),
                   side.nEntities)

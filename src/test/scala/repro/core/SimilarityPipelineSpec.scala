@@ -1,12 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
-import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.exp.Experiments
 import repro.mobility.MobilityGen
+import Histories.{SideE, SideI}
 import TestSupport.{recordsDf, refBins}
 
 /** The DataFrame similarity join cross-checked against [[LocalReference]]. */
@@ -19,7 +17,7 @@ class SimilarityPipelineSpec extends SparkSpec {
   private val PrepCfg = Slim.SlimConfig(level = Level, windowSec = WindowSec, bParam = BParam)
 
   /** LSH with signatures finer than the scoring level: stage 1 bins at the
-    * signature level and coarsens the histories to `Level` for stage 3.
+    * signature level and stage 3 views the histories at `Level`.
     */
   private val FineLsh = Lsh.LshConfig(t = 0.5, sigLevel = Level + 2, stepWindows = 8,
     numBuckets = 4096)
@@ -32,13 +30,9 @@ class SimilarityPipelineSpec extends SparkSpec {
     try f(stage1) finally stage1.unpersist()
   }
 
-  /** `f` over both datasets after stage 1 without LSH. */
-  private def withPrepared[T](recordsE: DataFrame, recordsI: DataFrame)
-                             (f: (Slim.Prepared, Slim.Prepared) => T): T =
-    withStage1(recordsE, recordsI, PrepCfg)(st => f(st.e, st.i))
-
-  /** The reference norms `(id, nbins, lnorm)` of a prepared dataset. */
-  private def refNorms(p: Slim.Prepared): DataFrame = Histories.lengthNorm(p.histories, BParam)
+  /** The reference norms `(id, nbins, lnorm)` of one dataset of stage 1. */
+  private def refNorms(st: Slim.Stage1, side: Int): DataFrame =
+    Histories.lengthNorm(TestSupport.sideHistories(st, side), BParam)
 
   /** Scored rows as `(uid, vid) -> (score, comparisons, alibis)`. */
   private def scoredRows(df: DataFrame): Map[(Long, Long), (Double, Long, Long)] =
@@ -47,9 +41,9 @@ class SimilarityPipelineSpec extends SparkSpec {
 
   private def scoreAll(recordsE: DataFrame, recordsI: DataFrame,
                        cfg: Similarity.ScoreConfig): Map[(Long, Long), Double] =
-    withPrepared(recordsE, recordsI) { (e, i) =>
-      scoredRows(Similarity.scoreEdges(refBins(e), refBins(i),
-        Slim.allPairsCandidates(recordsE, recordsI), refNorms(e), refNorms(i), cfg))
+    withStage1(recordsE, recordsI, PrepCfg) { st =>
+      scoredRows(Similarity.scoreEdges(refBins(st, SideE), refBins(st, SideI),
+        Slim.allPairsCandidates(recordsE, recordsI), refNorms(st, SideE), refNorms(st, SideI), cfg))
         .map { case (k, v) => k -> v._1 }
     }
 
@@ -118,15 +112,16 @@ class SimilarityPipelineSpec extends SparkSpec {
       def rows(scores: Array[Similarity.PairScore]) =
         scores.map(p => (p.uid, p.vid) -> (p.score, p.comparisons, p.alibis)).toMap
       // Brute force against all pairs, and the LSH path against its candidates.
-      val cases = withPrepared(pair.e, pair.i) { (e, i) =>
+      val cases = withStage1(pair.e, pair.i, PrepCfg) { st =>
         import spark.implicits._
+        val (binsE, binsI) = (refBins(st, SideE), refBins(st, SideI))
+        val (normsE, normsI) = (refNorms(st, SideE), refNorms(st, SideI))
         Seq(
-          "all pairs" -> (rows(Slim.scorePairs(e, i, cfg)), scoredRows(Similarity.scoreEdges(
-            refBins(e), refBins(i), Slim.allPairsCandidates(pair.e, pair.i), refNorms(e),
-            refNorms(i), cfg))),
-          "LSH candidates" -> (rows(Slim.scorePairs(e, i, cfg, Some(candidates))),
-            scoredRows(Similarity.scoreEdges(refBins(e), refBins(i),
-              candidates.toSeq.toDF("uid", "vid"), refNorms(e), refNorms(i), cfg))))
+          "all pairs" -> (rows(Slim.scorePairs(st, cfg)), scoredRows(Similarity.scoreEdges(
+            binsE, binsI, Slim.allPairsCandidates(pair.e, pair.i), normsE, normsI, cfg))),
+          "LSH candidates" -> (rows(Slim.scorePairs(st, cfg, Some(candidates))),
+            scoredRows(Similarity.scoreEdges(binsE, binsI,
+              candidates.toSeq.toDF("uid", "vid"), normsE, normsI, cfg))))
       }
       for ((input, (windows, viaCandidates)) <- cases) {
         assert(windows.nonEmpty, input)
@@ -142,29 +137,26 @@ class SimilarityPipelineSpec extends SparkSpec {
 
   for (path <- Seq("brute-force", "LSH", "LSH at a finer signature level")) {
     test(s"$path scoring adds no shuffle keyed on the window") {
-      // Stage 1 partitions the histories by window; the per-window cogroup
-      // of stage 3 must reuse that partitioning, also through the coarsening
-      // of histories binned at a finer signature level, and the per-pair
-      // sums are finished on the driver: stage 3 plans no exchange at all.
+      // Stage 1 partitions the histories by window and caches them; stage 3
+      // is one pass over the cached bins, also when they are binned at a
+      // finer signature level, and the per-pair sums are finished on the
+      // driver: no query to plan, and one job of one stage with no shuffle.
       val pair = genPair(8, 50, 0.7)
       val cfg = Similarity.ScoreConfig(runawayKm = Proximity.runawayKm(WindowSec, 2.0))
       val fine = path == "LSH at a finer signature level"
-      val shuffles = withStage1(pair.e, pair.i, if (fine) FineCfg else PrepCfg) { st =>
-        val (e, i) = (st.e, st.i)
+      val (sqlExecutions, jobs) = withStage1(pair.e, pair.i, if (fine) FineCfg else PrepCfg) { st =>
         val candidates =
           if (fine) Some(Slim.lshCandidates(st, FineLsh))
           else if (path == "LSH") Some(lshCandidates(pair.e, pair.i))
           else None
         assert(candidates.forall(_.nonEmpty))
-        val index = candidates.map(c => spark.sparkContext.broadcast(Similarity.candidateIndex(c)))
-        val scored = Similarity.scoreWindows(e.histories, i.histories, e.nEntities, i.nEntities,
-          cfg, index)
-        assert(scored.collect().nonEmpty)
-        index.foreach(_.destroy())
-        object Plan extends AdaptiveSparkPlanHelper
-        Plan.collect(scored.queryExecution.executedPlan) { case s: ShuffleExchangeExec => s }
+        var scored = Array.empty[Similarity.PairScore]
+        val started = TestSupport.startedDuring(spark) { scored = Slim.scorePairs(st, cfg, candidates) }
+        assert(scored.nonEmpty)
+        started
       }
-      assert(shuffles.isEmpty, s"stage 3 shuffles: ${shuffles.map(_.outputPartitioning)}")
+      assert(sqlExecutions == 0, s"stage 3 started $sqlExecutions SQL executions")
+      assert(jobs == Seq(TestSupport.JobRun(stages = 1, shuffleReadBytes = 0L)), s"stage 3 jobs: $jobs")
     }
   }
 
@@ -179,21 +171,21 @@ class SimilarityPipelineSpec extends SparkSpec {
     val runs = try for (n <- Seq(1, 7, 64)) yield {
       spark.conf.set(key, n.toString)
       def stats(p: Slim.Prepared) = (p.nEntities, p.meanLength, p.minWin, p.maxWin, p.norms)
-      def rows(e: Slim.Prepared, i: Slim.Prepared, c: Option[Array[(Long, Long)]]) =
-        Slim.scorePairs(e, i, cfg, c).map(p => (p.uid, p.vid) -> (p.score, p.comparisons, p.alibis)).toMap
-      val bf = withPrepared(pair.e, pair.i) { (e, i) =>
-        (stats(e), stats(i), rows(e, i, None), rows(e, i, Some(candidates)))
+      def rows(st: Slim.Stage1, c: Option[Array[(Long, Long)]]) =
+        Slim.scorePairs(st, cfg, c).map(p => (p.uid, p.vid) -> (p.score, p.comparisons, p.alibis)).toMap
+      val bf = withStage1(pair.e, pair.i, PrepCfg) { st =>
+        (stats(st.e), stats(st.i), rows(st, None), rows(st, Some(candidates)))
       }
       // LSH with signatures finer than the scoring level: its own candidates.
       val fine = withStage1(pair.e, pair.i, FineCfg) { st =>
         val c = Slim.lshCandidates(st, FineLsh)
-        (stats(st.e), stats(st.i), c.toSet, rows(st.e, st.i, Some(c)))
+        (stats(st.e), stats(st.i), c.toSet, rows(st, Some(c)))
       }
       (n, bf, fine)
     } finally spark.conf.set(key, saved)
     val (_, (e0, i0, all0, some0), fine0) = runs.head
     assert(all0.nonEmpty && some0.nonEmpty && some0.size < all0.size)
-    // The coarsened histories are stage 1 at the scoring level.
+    // Binned at the finer level, stage 1 counts the histories at the scoring level.
     assert(fine0._1 == e0 && fine0._2 == i0, "stage 1 with a finer signature level")
     assert(fine0._3.nonEmpty && fine0._4.keySet.subsetOf(fine0._3))
     for ((k, (s, comps, alibis)) <- fine0._4) {

@@ -77,7 +77,7 @@ class SlimIntegrationSpec extends SparkSpec {
   }
 
   /** LSH with signatures finer than the scoring level: stage 1 bins at the
-    * signature level and stage 3 reads the histories coarsened to level 14.
+    * signature level and stage 3 views the histories at level 14.
     */
   private val lshFineCfg = cfg.copy(lsh = Some(Lsh.LshConfig(t = 0.5, sigLevel = 16,
     stepWindows = 8, numBuckets = 4096)))

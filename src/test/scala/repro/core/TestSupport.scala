@@ -1,8 +1,10 @@
 package repro.core
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart,
+  SparkListenerStageSubmitted, SparkListenerTaskEnd}
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{max, min}
+import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
+import org.apache.spark.sql.functions.{col, max, min, sum, udf}
 import Similarity.{AllPairs, Bin, MnnOnly, MnnWithMfn, ScoreConfig, WindowScore}
 
 import scala.collection.mutable
@@ -16,23 +18,48 @@ object TestSupport {
     rows.toDF("id", "ts", "lat", "lon")
   }
 
-  /** Spark jobs started while `body` runs. Listener events arrive
-    * asynchronously, so a marker job in a group of its own runs afterwards
-    * and the count is read once the listener has seen it.
+  /** A Spark job that [[startedDuring]]'s body started: the stages it ran
+    * (a skipped stage is never submitted) and the shuffle bytes its tasks
+    * read.
     */
-  def jobsDuring(spark: SparkSession)(body: => Unit): Int = {
+  final case class JobRun(stages: Int, shuffleReadBytes: Long)
+
+  /** The SQL executions and the Spark jobs started while `body` runs.
+    * Listener events arrive asynchronously but in the order they were
+    * posted, so a marker job in a group of its own runs afterwards and the
+    * counts are read once the listener has seen it.
+    */
+  def startedDuring(spark: SparkSession)(body: => Unit): (Int, Seq[JobRun]) = {
     val sc = spark.sparkContext
     val group = s"counted-jobs-${System.nanoTime()}"
     val marker = s"$group-marker"
-    val jobs = new java.util.concurrent.atomic.AtomicInteger
+    // Written by the listener thread only; read after the marker is seen.
+    var sqlExecutions = 0
+    val jobs = mutable.LinkedHashMap.empty[Int, JobRun]
+    val jobOfStage = mutable.HashMap.empty[Int, Int]
+    def add(stage: Int)(f: JobRun => JobRun): Unit =
+      jobOfStage.get(stage).foreach(j => jobs(j) = f(jobs(j)))
     val seen = scala.concurrent.Promise[Unit]()
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull match {
-          case `group`  => jobs.incrementAndGet()
+          case `group`  =>
+            jobs(e.jobId) = JobRun(0, 0L)
+            e.stageIds.foreach(jobOfStage.getOrElseUpdate(_, e.jobId))
           case `marker` => seen.trySuccess(())
           case _        =>
         }
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        add(e.stageInfo.stageId)(j => j.copy(stages = j.stages + 1))
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        Option(e.taskMetrics).foreach { m =>
+          add(e.stageId)(j => j.copy(shuffleReadBytes =
+            j.shuffleReadBytes + m.shuffleReadMetrics.totalBytesRead))
+        }
+      override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
+        case s: SparkListenerSQLExecutionStart if s.jobGroupId.contains(group) => sqlExecutions += 1
+        case _ =>
+      }
     }
     sc.addSparkListener(listener)
     try {
@@ -41,9 +68,34 @@ object TestSupport {
       sc.setJobGroup(marker, "marker")
       try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
       scala.concurrent.Await.result(seen.future, scala.concurrent.duration.Duration(60, "s"))
-      jobs.get
+      (sqlExecutions, jobs.values.toSeq)
     } finally sc.removeSparkListener(listener)
   }
+
+  /** Spark jobs started while `body` runs ([[startedDuring]]). */
+  def jobsDuring(spark: SparkSession)(body: => Unit): Int = startedDuring(spark)(body)._2.size
+
+  /** Histories binned at a finer level, viewed at the coarser `level`: each
+    * bin's cell becomes its [[Grid.ancestorAt]] `level` and the counts of the
+    * bins that merge are summed. Every other column stays a grouping key.
+    * `ancestorAt(cellOf(p, L), l) == cellOf(p, l)`, so the result holds the
+    * rows that binning the records at `level` gives.
+    */
+  def coarsen(hist: DataFrame, level: Int): DataFrame = {
+    val ancestor = udf((cell: Long) => Grid.ancestorAt(cell, level))
+    val keys = hist.columns.toSeq.filterNot(Set("cell", "cnt")).map(col)
+    hist.groupBy(keys :+ ancestor(col("cell")).as("cell"): _*).agg(sum("cnt").as("cnt"))
+  }
+
+  /** One dataset's histories `(id, win, cell, cnt)` at the scoring level:
+    * its side of [[Slim.Stage1.histories]], coarsened.
+    */
+  def sideHistories(st: Slim.Stage1, side: Int): DataFrame =
+    coarsen(st.histories.filter(col("side") === side).drop("side"), st.level)
+
+  /** One dataset's counts in stage 1. */
+  def prepared(st: Slim.Stage1, side: Int): Slim.Prepared =
+    if (side == Histories.SideE) st.e else st.i
 
   /** Exact maximum-weight matching by exhaustive search — the oracle for
     * [[Matching.greedy]] (exponential; callers keep graphs tiny).
@@ -89,11 +141,13 @@ object TestSupport {
     (Lsh.candidates(sigE, sigI, qMin, r, cfg.numBuckets), sigLen, b, r)
   }
 
-  /** Idf-weighted bins per window, `(id, win, bins)`, of a prepared dataset:
-    * the input of the reference scoring [[Similarity.scoreEdges]].
+  /** Idf-weighted bins per window, `(id, win, bins)`, of one dataset of
+    * stage 1: the input of the reference scoring [[Similarity.scoreEdges]].
     */
-  def refBins(p: Slim.Prepared): DataFrame =
-    Histories.binsByWindow(p.histories, Histories.idf(p.histories, p.nEntities))
+  def refBins(st: Slim.Stage1, side: Int): DataFrame = {
+    val hist = sideHistories(st, side)
+    Histories.binsByWindow(hist, Histories.idf(hist, prepared(st, side).nEntities))
+  }
 
   /** Greedy mutual pairing over boxed tuples — the oracle for the pairing
     * order of [[Similarity.Kernel]]. Returns (indexU, indexV, distanceKm)
