@@ -28,12 +28,9 @@ object Histories {
     *
     * The output is hash-partitioned by `win` (into
     * `spark.sql.shuffle.partitions` partitions), so all rows of a window are
-    * in one partition. Everything SLIM derives from the histories per window
-    * is keyed by the window: the idf per `(win, cell)` and stage 3's scoring
-    * of each window ([[Similarity.scoreWindows]]), which reads each
-    * partition's windows whole ([[windows]]). So one shuffle here feeds both
-    * datasets' windows to the scorer, and a cached copy keeps the
-    * partitioning.
+    * in one partition: the idf per `(win, cell)` and stage 3's scoring of
+    * each window ([[Similarity.scoreWindows]]) need no other shuffle, and a
+    * cached copy keeps the partitioning.
     */
   def build(records: DataFrame, level: Int, windowSec: Long): DataFrame =
     binned(records, Nil, level, windowSec)
@@ -54,12 +51,13 @@ object Histories {
   }
 
   /** [[build]] of both datasets at once, over their [[tagSides]] rows:
-    * `(side, id, win, cell, cnt)`, hash-partitioned by `win` by one shuffle.
-    * The rows with `side = s` are exactly [[build]] of that dataset.
+    * `(side, id, win, cell, cnt)`, hash-partitioned by `win` by one shuffle
+    * and sorted by `win` within each partition (a sort that can spill; no
+    * exchange). The rows with `side = s` are exactly [[build]] of that dataset.
     */
   def buildSides(recordsE: DataFrame, recordsI: DataFrame, level: Int,
                  windowSec: Long): DataFrame =
-    binned(tagSides(recordsE, recordsI), Seq("side"), level, windowSec)
+    binned(tagSides(recordsE, recordsI), Seq("side"), level, windowSec).sortWithinPartitions("win")
 
   /** The binning of [[build]] and [[buildSides]], grouped by `keys` as well. */
   private def binned(records: DataFrame, keys: Seq[String], level: Int,
@@ -90,15 +88,23 @@ object Histories {
   }
 
   /** One partition of [[sideBins]] as its windows in ascending order, each
-    * with E's rows and I's. On histories partitioned by window both sides of
-    * a window are in one partition, so each window is whole. The partition's
-    * rows are held in memory while its windows are read.
+    * with E's rows and I's. [[buildSides]] partitions by window and sorts
+    * each partition by window, so each window is whole and its rows are
+    * consecutive: only one window's rows are held at a time. A partition
+    * that is not sorted by window fails rather than split a window.
     */
-  def windows(rows: Iterator[SideBin]): Iterator[(Long, Array[SideBin], Array[SideBin])] =
-    rows.toArray.groupBy(_._3).toSeq.sortBy(_._1).iterator.map { case (win, bins) =>
-      val (e, i) = bins.partition(_._1 == SideE)
+  def windows(rows: Iterator[SideBin]): Iterator[(Long, Array[SideBin], Array[SideBin])] = {
+    val in = rows.buffered
+    var last = Option.empty[Long]
+    Iterator.continually(in).takeWhile(_.hasNext).map { _ =>
+      val win = in.head._3
+      require(last.forall(_ < win), s"window $win after window ${last.get}: rows not sorted by window")
+      last = Some(win)
+      val (e, i) = Iterator.continually(in).takeWhile(r => r.hasNext && r.head._3 == win)
+        .map(_.next()).toArray.partition(_._1 == SideE)
       (win, e, i)
     }
+  }
 
   /** Inverse document frequency of each time-location bin (paper Eq. 3):
     * `idf(e) = ln(|U| / |{u : e in H_u}|)` over the given history set.

@@ -301,18 +301,13 @@ object Similarity {
             if (partners == null || java.util.Arrays.binarySearch(partners, v) >= 0) {
               val nv = i.from(y + 1) - i.from(y)
               kernel.score(e.cells, e.idf, e.from(x), nu, i.cells, i.idf, i.from(y), nv)
-              val (raw, comparisons, alibis) = (kernel.raw, nu.toLong * nv, kernel.alibis)
-              sums.updateWith((u, v)) {
-                case Some((r, c, a)) => Some((r + raw, c + comparisons, a + alibis))
-                case None            => Some((raw, comparisons, alibis))
-              }
+              val (r, c, a) = sums.getOrElse((u, v), (0.0, 0L, 0L))
+              sums((u, v)) = (r + kernel.raw, c + nu.toLong * nv, a + kernel.alibis)
             }
           }
         }
       }
-      sums.iterator.map { case ((u, v), (raw, comparisons, alibis)) =>
-        (u, v, raw, comparisons, alibis)
-      }
+      sums.iterator.map { case ((u, v), (r, c, a)) => (u, v, r, c, a) }
     }
 
   /** Reference edge scoring: the row join on the shared window. It is not

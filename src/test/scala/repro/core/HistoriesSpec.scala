@@ -124,9 +124,9 @@ class HistoriesSpec extends SparkSpec {
            (" (finer signature level)", base.copy(lsh = Some(Lsh.LshConfig(sigLevel = Level + 2)))))) {
       val stage1 = Slim.prepare(recordsE, recordsI, cfg)
       try {
-        for ((name, s, input) <- Seq((s"E$label", Histories.SideE, recordsE),
-               (s"I$label", Histories.SideI, recordsI))) {
-          val (side, histories) = (TestSupport.prepared(stage1, s), TestSupport.sideHistories(stage1, s))
+        for ((name, side, s, input) <- Seq((s"E$label", stage1.e, Histories.SideE, recordsE),
+               (s"I$label", stage1.i, Histories.SideI, recordsI))) {
+          val histories = TestSupport.sideHistories(stage1, s)
           val hist = Histories.build(input, Level, WindowSec).cache()
           try {
             def bins(df: DataFrame) = df.select("id", "win", "cell", "cnt").collect()
@@ -163,6 +163,30 @@ class HistoriesSpec extends SparkSpec {
         }
       } finally stage1.unpersist()
     }
+  }
+
+  test("buildSides' partitions read as whole windows in ascending order") {
+    val recordsE = records.filter(col("id") < 20)
+    val recordsI = records.filter(col("id") >= 10).withColumn("ts", col("ts") + 600)
+    val hist = Histories.buildSides(recordsE, recordsI, Level, WindowSec).cache()
+    try {
+      val bins = Histories.sideBins(hist)
+      assert(bins.getNumPartitions > 1)
+      val parts = bins.mapPartitionsWithIndex { (p, rows) =>
+        Iterator.single(p -> Histories.windows(rows).toArray)
+      }.collect()
+      val wins = parts.flatMap(_._2.map(_._1))
+      assert(wins.length == wins.distinct.length, "a window split across partitions or runs")
+      for ((p, ws) <- parts) assert(ws.map(_._1).toSeq == ws.map(_._1).sorted.toSeq, s"partition $p")
+      for ((win, e, i) <- parts.flatMap(_._2)) {
+        assert((e ++ i).forall(_._3 == win))
+        assert(e.forall(_._1 == Histories.SideE) && i.forall(_._1 == Histories.SideI))
+      }
+      assert(parts.flatMap(_._2.flatMap(w => w._2 ++ w._3)).toSet == bins.collect().toSet)
+    } finally hist.unpersist()
+    // Rows not sorted by window fail instead of splitting the window.
+    val unsorted = Iterator((0, 1L, 5L, 9L, 1L), (1, 2L, 4L, 9L, 1L), (0, 3L, 5L, 9L, 1L))
+    intercept[IllegalArgumentException](Histories.windows(unsorted).toList)
   }
 
   test("windows respect the configured width") {

@@ -93,10 +93,6 @@ object TestSupport {
   def sideHistories(st: Slim.Stage1, side: Int): DataFrame =
     coarsen(st.histories.filter(col("side") === side).drop("side"), st.level)
 
-  /** One dataset's counts in stage 1. */
-  def prepared(st: Slim.Stage1, side: Int): Slim.Prepared =
-    if (side == Histories.SideE) st.e else st.i
-
   /** Exact maximum-weight matching by exhaustive search — the oracle for
     * [[Matching.greedy]] (exponential; callers keep graphs tiny).
     */
@@ -146,7 +142,8 @@ object TestSupport {
     */
   def refBins(st: Slim.Stage1, side: Int): DataFrame = {
     val hist = sideHistories(st, side)
-    Histories.binsByWindow(hist, Histories.idf(hist, prepared(st, side).nEntities))
+    val n = if (side == Histories.SideE) st.e.nEntities else st.i.nEntities
+    Histories.binsByWindow(hist, Histories.idf(hist, n))
   }
 
   /** Greedy mutual pairing over boxed tuples — the oracle for the pairing
