@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Encoder, Encoders}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.UserDefinedFunction
 
@@ -81,11 +81,12 @@ object Histories {
     * plans the binning when this is called, once; the per-partition passes
     * over the RDD are lambdas it would not look into anyway.
     */
-  def sideBins(hist: DataFrame): RDD[SideBin] = {
-    val spark = hist.sparkSession
-    import spark.implicits._
-    hist.select("side", "id", "win", "cell", "cnt").as[SideBin].rdd
-  }
+  def sideBins(hist: DataFrame): RDD[SideBin] =
+    hist.select("side", "id", "win", "cell", "cnt").as(sideBinEncoder).rdd
+
+  /** The encoder of [[SideBin]], derived once rather than on every link. */
+  private lazy val sideBinEncoder: Encoder[SideBin] = Encoders.tuple(Encoders.scalaInt,
+    Encoders.scalaLong, Encoders.scalaLong, Encoders.scalaLong, Encoders.scalaLong)
 
   /** One partition of [[sideBins]] as its windows in ascending order, each
     * with E's rows and I's. [[buildSides]] partitions by window and sorts
@@ -105,6 +106,17 @@ object Histories {
       (win, e, i)
     }
   }
+
+  /** One side's rows of one window ([[windows]]), binned at `binLevel`, as
+    * `(id, cell)` pairs at the scoring `level`: each row's own cell when
+    * `binLevel` is `level`, else its [[Grid.ancestorAt]] `level`, once per
+    * `(id, cell)`. `ancestorAt(cellOf(p, L), l) == cellOf(p, l)`, so these
+    * are the window's bins of [[build]] at `level`. Stage 1 counts them per
+    * entity and stage 3 scores them.
+    */
+  def cellsAt(rows: Array[SideBin], binLevel: Int, level: Int): Iterator[(Long, Long)] =
+    if (binLevel == level) rows.iterator.map(r => (r._2, r._4))
+    else rows.iterator.map(r => (r._2, Grid.ancestorAt(r._4, level))).distinct
 
   /** Inverse document frequency of each time-location bin (paper Eq. 3):
     * `idf(e) = ln(|U| / |{u : e in H_u}|)` over the given history set.
@@ -132,12 +144,9 @@ object Histories {
       (lit(1.0 - b) + lit(b) * col("nbins") / lit(avgBins)).as("lnorm"))
   }
 
-  /** History length |H_u| per entity, with the entity's first and last
-    * window: `(id, nbins, minWin, maxWin)`.
-    */
+  /** History length |H_u| per entity: `(id, nbins)`. */
   def historySizes(hist: DataFrame): DataFrame =
-    hist.groupBy("id").agg(count(lit(1)).as("nbins"), min("win").as("minWin"),
-      max("win").as("maxWin"))
+    hist.groupBy("id").agg(count(lit(1)).as("nbins"))
 
   /** Bins of one entity per window with the per-bin idf attached and collected
     * into a list — the unit [[Similarity.scoreEdges]], the reference scoring,

@@ -45,8 +45,8 @@ object LocalReference {
   }
 
   /** Similarity S(u, v) between entity `u` of dataset `e` and `v` of `i`.
-    * `bParam` only selects whether the prebuilt norms are applied
-    * (cfg.useNorm); the norms themselves were fixed at build time.
+    * `cfg.useNorm` selects whether the prebuilt norms are applied. `bParam`
+    * is unused: the norms were fixed by [[Dataset.fromRecords]]' own b.
     */
   def score(e: Dataset, i: Dataset, u: Long, v: Long,
             cfg: Similarity.ScoreConfig, bParam: Double = 0.5): Double = {

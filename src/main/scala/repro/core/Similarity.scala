@@ -269,9 +269,8 @@ object Similarity {
     * partitions. `bins` are [[Histories.sideBins]] binned at `binLevel`;
     * each partition's windows are read whole and in ascending order
     * ([[Histories.windows]]), and their cells viewed at the scoring `level`
-    * (each bin's [[Grid.ancestorAt]] `level`, once per `(id, cell)`, when
-    * binned finer). Per window, each side's idf is counted among its rows
-    * ([[windowSide]]) and every cross pair `(u, v)` is scored by one
+    * ([[Histories.cellsAt]]). Per window, each side's idf is counted among
+    * its rows ([[windowSide]]) and every cross pair `(u, v)` is scored by one
     * [[Kernel]]; with `candidates` (an index from [[candidateIndex]]) only
     * the candidate pairs are scored. Each partition sums its windows'
     * `(raw, comparisons, alibis)` per pair, in window order, and emits one
@@ -283,15 +282,12 @@ object Similarity {
                    cfg: ScoreConfig, candidates: Option[Broadcast[Map[Long, Array[Long]]]] = None)
       : RDD[(Long, Long, Double, Long, Long)] =
     bins.mapPartitions { rows =>
-      def cells(side: Array[Histories.SideBin]) =
-        if (binLevel == level) side.iterator.map(r => (r._2, r._4))
-        else side.iterator.map(r => (r._2, Grid.ancestorAt(r._4, level))).distinct
       val keep = candidates.map(_.value).orNull
       val kernel = new Kernel(cfg)
       val sums = mutable.HashMap.empty[(Long, Long), (Double, Long, Long)]
       for ((_, es, is) <- Histories.windows(rows) if es.nonEmpty && is.nonEmpty) {
-        val e = windowSide(cells(es), nE)
-        val i = windowSide(cells(is), nI)
+        val e = windowSide(Histories.cellsAt(es, binLevel, level), nE)
+        val i = windowSide(Histories.cellsAt(is, binLevel, level), nI)
         for (x <- e.ids.indices) {
           val u = e.ids(x)
           val partners = if (keep == null) null else keep.getOrElse(u, Array.emptyLongArray)

@@ -15,14 +15,15 @@ import scala.collection.mutable
   *  1. mobility histories + BM25 length norms of both datasets at once
   *     ([[prepare]]): the records are tagged with their side, one shuffle
   *     partitions both datasets' histories by window, which stage 3 reuses,
-  *     and one pass over them counts the per-entity history sizes (and with
-  *     LSH the records per entity, query window and signature cell) per
-  *     partition; the driver merges them into the counts and the norms;
+  *     and one pass over them, a window at a time, counts each entity's bins
+  *     (and with LSH its records per query window and signature cell) per
+  *     partition; the driver adds up the counts into the norms;
   *  2. candidate pairs from dominating-cell banding LSH ([[lshCandidates]]),
-  *     on the driver: every signature and its band buckets come from stage
-  *     1's signature counts, and E is paired with I per bucket. No Spark
-  *     job, and no second pass over the records. Brute force has no
-  *     candidate list, since every pair sharing a window is scored;
+  *     on the driver: every signature, its band buckets and the query
+  *     windows' common range come from stage 1's signature counts, and E is
+  *     paired with I per bucket. No Spark job, and no second pass over the
+  *     records. Brute force has no candidate list, since every pair sharing
+  *     a window is scored;
   *  3. per-window scoring ([[scorePairs]]): a second pass reads each
   *     partition's windows of both datasets, counts each window's idf and
   *     scores every cross pair (the LSH candidates only, if any) with one
@@ -65,6 +66,9 @@ object Slim {
     *
     * @param links            final linkage (u, v, weight), above threshold
     * @param matched          full matching before thresholding
+    * @param scores           the score of every pair the link scored: each
+    *                         pair sharing a window (brute force) or each
+    *                         such LSH candidate, whatever its sign
     * @param threshold        GMM stop threshold (-inf when degenerate)
     * @param gmm              the fitted mixture, when one was fitted
     * @param nCandidates      candidate pairs entering the similarity join:
@@ -79,6 +83,7 @@ object Slim {
   final case class SlimResult(
       links: Seq[(Long, Long, Double)],
       matched: Seq[Matching.Edge],
+      scores: Map[(Long, Long), Double],
       threshold: Double,
       gmm: Option[Gmm.Gmm2],
       nCandidates: Long,
@@ -87,7 +92,9 @@ object Slim {
       elapsedMs: Long,
   )
 
-  /** One dataset's counts after stage 1, on the driver.
+  /** One dataset's stage 1 on the driver: the BM25 length norm L(u) (Eq. 2)
+    * of every entity with at least one record, bit for bit the `lnorm` of
+    * [[Histories.lengthNorm]] of the dataset's histories.
     *
     * The production path builds it for both datasets at once ([[prepare]]).
     * The per-dataset reference is [[Histories.build]] of its records with
@@ -95,21 +102,11 @@ object Slim {
     * benchmark's staged trace compare against those, and its side of
     * [[Stage1.histories]] at the scoring level, the idf stage 3 counts from
     * it and `norms` equal them.
-    *
-    * @param norms      BM25 length norm L(u) (Eq. 2) of every entity, on the
-    *                   driver; bit for bit the `lnorm` of
-    *                   [[Histories.lengthNorm]]
-    * @param nEntities  number of entities with at least one record (0 for an
-    *                   empty dataset)
-    * @param meanLength mean history length avg|H| (bins per entity), Eq. 2's
-    *                   denominator; 0 for an empty dataset
-    * @param minWin     first window any entity occupies (Long.MaxValue when
-    *                   empty)
-    * @param maxWin     last window any entity occupies (Long.MinValue when
-    *                   empty)
     */
-  final case class Prepared(norms: Map[Long, Double], nEntities: Long, meanLength: Double,
-                            minWin: Long, maxWin: Long)
+  final case class Prepared(norms: Map[Long, Double]) {
+    /** Number of entities with at least one record (0 for an empty dataset). */
+    def nEntities: Long = norms.size.toLong
+  }
 
   /** Stage 1 of both datasets, from one Spark plan.
     *
@@ -127,11 +124,12 @@ object Slim {
     * @param sigCounts with LSH, partial record counts
     *                  `(side, id, qidx, sigCell, cnt)` at the signature
     *                  level, each partition's own: the input of
-    *                  [[Lsh.candidatePairs]]. At most one row per cached bin,
-    *                  as each `(side, id, qidx, sigCell)` has a row in at
-    *                  most min(step, P) of the P partitions (a query window
-    *                  spans `step` windows, and each window is in one
-    *                  partition). Empty without LSH.
+    *                  [[Lsh.candidatePairs]], and their `qidx` range is the
+    *                  signatures' alignment ([[lshCandidates]]). At most one
+    *                  row per cached bin, as each `(side, id, qidx, sigCell)`
+    *                  has a row in at most min(step, P) of the P partitions
+    *                  (a query window spans `step` windows, and each window
+    *                  is in one partition). Empty without LSH.
     */
   final case class Stage1(e: Prepared, i: Prepared, histories: DataFrame,
                           bins: RDD[Histories.SideBin], level: Int, binLevel: Int,
@@ -140,32 +138,21 @@ object Slim {
     def unpersist(): Unit = histories.unpersist()
   }
 
-  /** One partition's history sizes `(side, id) -> (nbins, minWin, maxWin)`. */
-  private type Sizes = mutable.HashMap[(Int, Long), (Long, Long, Long)]
-
-  /** Counts one bin of an entity in `sizes`. */
-  private def addBin(sizes: Sizes, side: Int, id: Long, win: Long): Unit =
-    sizes.updateWith((side, id)) {
-      case Some((n, lo, hi)) => Some((n + 1, math.min(lo, win), math.max(hi, win)))
-      case None              => Some((1L, win, win))
-    }
-
   /** Stage 1 for both datasets: their histories and their length norms
     * (Eq. 2), and with LSH the signature counts. The two record sets are
     * tagged with their side and binned together ([[Histories.buildSides]]):
     * one shuffle by window and one cache serve both. One pass over the
-    * cache's RDD ([[Stage1.bins]]) collects each partition's per-entity
-    * history sizes `(side, id, nbins, minWin, maxWin)`; the driver merges
-    * them (count sum, min, max: exact) into each side's entity count, mean
-    * history length, window range and norms.
+    * cache's RDD ([[Stage1.bins]]) reads each partition a window at a time
+    * ([[Histories.windows]]) and counts each entity's bins at the scoring
+    * level ([[Histories.cellsAt]]), the view stage 3 scores; the driver
+    * adds up the partitions' `(side, id, nbins)` counts (exact) into each
+    * side's mean history length and norms.
     *
     * With LSH the same action collects each partition's record counts per
     * `(side, id, qidx, sigCell)` ([[Stage1.sigCounts]]): `qidx` is
     * `floorDiv(win, step)` and `sigCell` the bin cell's [[Grid.ancestorAt]]
     * the signature level. The histories are binned at the finer of the two
-    * levels. When that is the signature level, a history's bins are counted
-    * once per coarse `(win, cell)`, its cells' ancestors at the scoring
-    * level: each partition holds all of a window's bins.
+    * levels.
     *
     * Driver memory is O((nE + nI) P) for P partitions, plus with LSH at most
     * one signature count per cached bin. The caller releases the cache with
@@ -180,48 +167,43 @@ object Slim {
     val (bins, parts) = try {
       val bins = Histories.sideBins(hist)
       (bins, bins.mapPartitions { rows =>
-        val sizes: Sizes = mutable.HashMap.empty
-        val coarse = mutable.HashSet.empty[(Int, Long, Long, Long)]
+        val nbins = mutable.HashMap.empty[(Int, Long), Long]
         val counts = mutable.HashMap.empty[(Int, Long, Long, Long), Long]
-        for ((s, id, win, cell, cnt) <- rows) {
-          if (binLevel == level || coarse.add((s, id, win, Grid.ancestorAt(cell, level))))
-            addBin(sizes, s, id, win)
-          for ((sigLevel, step) <- sig)
+        for ((win, es, is) <- Histories.windows(rows);
+             (s, side) <- Seq(Histories.SideE -> es, Histories.SideI -> is)) {
+          for ((id, _) <- Histories.cellsAt(side, binLevel, level))
+            nbins((s, id)) = nbins.getOrElse((s, id), 0L) + 1
+          for ((sigLevel, step) <- sig; (_, id, _, cell, cnt) <- side)
             counts.updateWith((s, id, math.floorDiv(win, step), Grid.ancestorAt(cell, sigLevel))) {
               n => Some(n.getOrElse(0L) + cnt)
             }
         }
-        Iterator.single((sizes.toSeq.map { case ((s, id), (n, lo, hi)) => (s, id, n, lo, hi) },
+        Iterator.single((nbins.toSeq,
           counts.iterator.map { case ((s, id, q, c), n) => (s, id, q, c, n) }.toSeq))
       }.collect().toSeq)
     } catch { case t: Throwable => hist.unpersist(); throw t }
-    val (sizeParts, sigCounts) = (parts.flatMap(_._1), parts.flatMap(_._2))
-    val sizes = sizeParts.groupMapReduce(r => (r._1, r._2))(r => (r._3, r._4, r._5)) { (a, b) =>
-      (a._1 + b._1, math.min(a._2, b._2), math.max(a._3, b._3))
-    }
+    val nbins = parts.flatMap(_._1).groupMapReduce(_._1)(_._2)(_ + _)
     def side(s: Int): Prepared = {
-      val rows = sizes.collect { case ((`s`, id), size) => id -> size }
-      val n = rows.size.toLong
-      val mean = if (n == 0) 0.0 else rows.valuesIterator.map(_._1).sum.toDouble / n
+      val sizes = nbins.collect { case ((`s`, id), n) => id -> n }
+      val mean = if (sizes.isEmpty) 0.0 else sizes.valuesIterator.sum.toDouble / sizes.size
       // Histories.lengthNorm's column expression, in its operation order.
       val b = cfg.bParam
-      Prepared(rows.map { case (id, (nbins, _, _)) => id -> ((1.0 - b) + b * nbins / mean) }, n, mean,
-        rows.valuesIterator.map(_._2).minOption.getOrElse(Long.MaxValue),
-        rows.valuesIterator.map(_._3).maxOption.getOrElse(Long.MinValue))
+      Prepared(sizes.map { case (id, n) => id -> ((1.0 - b) + b * n / mean) })
     }
-    Stage1(side(Histories.SideE), side(Histories.SideI), hist, bins, level, binLevel, sigCounts)
+    Stage1(side(Histories.SideE), side(Histories.SideI), hist, bins, level, binLevel,
+      parts.flatMap(_._2))
   }
 
   /** Stage 2: the LSH candidate pairs of a link's two datasets, on the
-    * driver from stage 1's signature counts ([[Lsh.candidatePairs]]).
-    * `qidx = floor(ts / (windowSec * step)) = floorDiv(win, step)`, so the
-    * aligned signature range comes from the windows stage 1 found. Both
-    * sides must have an entity.
+    * driver from stage 1's signature counts ([[Lsh.candidatePairs]]). Every
+    * cached bin adds a count at `qidx = floorDiv(win, step)`, which is
+    * monotone in the window, so the counts' smallest and largest `qidx` are
+    * the aligned signature range of both datasets. Both sides must have an
+    * entity.
     */
   def lshCandidates(stage1: Stage1, l: Lsh.LshConfig): Array[(Long, Long)] = {
-    val (e, i) = (stage1.e, stage1.i)
-    val qMin = math.floorDiv(math.min(e.minWin, i.minWin), l.stepWindows.toLong)
-    val qMax = math.floorDiv(math.max(e.maxWin, i.maxWin), l.stepWindows.toLong)
+    val qMin = stage1.sigCounts.iterator.map(_._3).min
+    val qMax = stage1.sigCounts.iterator.map(_._3).max
     val (_, r) = Lsh.bandsFor((qMax - qMin + 1).toInt, l.t)
     Lsh.candidatePairs(stage1.sigCounts, qMin, r, l.numBuckets)
   }
@@ -286,6 +268,7 @@ object Slim {
 
       val scored = if (!bothSides) Array.empty[Similarity.PairScore]
         else scorePairs(stage1, cfg.scoreConfig, candidates)
+      val scores = scored.iterator.map(p => (p.uid, p.vid) -> p.score).toMap
       val comparisons = scored.iterator.map(_.comparisons).sum
       val alibiEntityPairs = scored.count(_.alibis > 0).toLong
       val edges = scored.iterator.filter(_.score > 0)
@@ -296,8 +279,8 @@ object Slim {
       val links = matched.filter(_.w >= threshold).map(e => (e.u, e.v, e.w))
 
       val elapsedMs = (System.nanoTime() - t0) / 1000000L
-      SlimResult(links, matched, threshold, gmm, nCandidates, comparisons, alibiEntityPairs,
-        elapsedMs)
+      SlimResult(links, matched, scores, threshold, gmm, nCandidates, comparisons,
+        alibiEntityPairs, elapsedMs)
     } finally stage1.unpersist()
   }
 }

@@ -39,15 +39,23 @@ object Tuning {
     best
   }
 
+  /** Runaway speed of the tuner's similarity window, km/min (the paper's). */
+  private val SpeedKmPerMin = 2.0
+
+  /** Seed of a dataset's entity sample; [[autoSpatialLevelPair]] samples
+    * dataset I with `Seed + 1`.
+    */
+  private val Seed = 42L
+
   /** Average pair-over-self similarity ratio at each candidate level, for a
     * sample of entities from a single dataset crossed with a pool of others.
     * Runs in-core over the sampled records ([[LocalReference]]) — the sample
-    * is small by design, and only its records are collected.
+    * is small by design, and only its records are collected. The histories'
+    * length norms use the paper's b = 0.5.
     */
   def selfSimilarityCurve(records: DataFrame, windowSec: Long, levels: Seq[Int],
-                          bParam: Double, speedKmPerMin: Double,
                           sampleEntities: Int, poolEntities: Int,
-                          seed: Long = 42): Seq[(Int, Double)] = {
+                          seed: Long = Seed): Seq[(Int, Double)] = {
     val ids = records.select("id").distinct().collect().map(_.getLong(0)).sorted
     val rnd = new scala.util.Random(seed)
     val shuffled = rnd.shuffle(ids.toVector)
@@ -65,14 +73,14 @@ object Tuning {
       // idf off: at coarse levels every entity shares every bin, idf -> 0 and
       // all scores vanish, flattening the curve the tuner needs. Spatial
       // distinguishability is what is being measured, not bin rarity.
-      val cfg = Similarity.ScoreConfig(Proximity.runawayKm(windowSec, speedKmPerMin),
+      val cfg = Similarity.ScoreConfig(Proximity.runawayKm(windowSec, SpeedKmPerMin),
         useIdf = false)
       val ratios = for {
         u <- sample if local.histories.contains(u)
-        selfSim = LocalReference.score(local, local, u, u, cfg, bParam)
+        selfSim = LocalReference.score(local, local, u, u, cfg)
         if selfSim > 0
         v <- pool if v != u && local.histories.contains(v)
-      } yield math.max(0.0, LocalReference.score(local, local, u, v, cfg, bParam)) / selfSim
+      } yield math.max(0.0, LocalReference.score(local, local, u, v, cfg)) / selfSim
       val avg = if (ratios.isEmpty) 0.0 else ratios.sum / ratios.size
       (level, avg)
     }
@@ -80,11 +88,10 @@ object Tuning {
 
   /** Pick the spatial level for one dataset: knee of the ratio curve. */
   def autoSpatialLevel(records: DataFrame, windowSec: Long, levels: Seq[Int],
-                       bParam: Double = 0.5, speedKmPerMin: Double = 2.0,
                        sampleEntities: Int = 10, poolEntities: Int = 30,
-                       seed: Long = 42): (Int, Seq[(Int, Double)]) = {
-    val curve = selfSimilarityCurve(records, windowSec, levels, bParam,
-      speedKmPerMin, sampleEntities, poolEntities, seed)
+                       seed: Long = Seed): (Int, Seq[(Int, Double)]) = {
+    val curve = selfSimilarityCurve(records, windowSec, levels, sampleEntities, poolEntities,
+      seed)
     val idx = elbow(curve.map(_._1.toDouble), curve.map(_._2))
     (curve(idx)._1, curve)
   }
@@ -93,13 +100,10 @@ object Tuning {
     * of the two datasets' elbow levels.
     */
   def autoSpatialLevelPair(recordsE: DataFrame, recordsI: DataFrame, windowSec: Long,
-                           levels: Seq[Int], bParam: Double = 0.5,
-                           speedKmPerMin: Double = 2.0, sampleEntities: Int = 10,
-                           poolEntities: Int = 30, seed: Long = 42): Int =
+                           levels: Seq[Int], sampleEntities: Int = 10,
+                           poolEntities: Int = 30): Int =
     math.max(
-      autoSpatialLevel(recordsE, windowSec, levels, bParam, speedKmPerMin,
-        sampleEntities, poolEntities, seed)._1,
-      autoSpatialLevel(recordsI, windowSec, levels, bParam, speedKmPerMin,
-        sampleEntities, poolEntities, seed + 1)._1,
+      autoSpatialLevel(recordsE, windowSec, levels, sampleEntities, poolEntities, Seed)._1,
+      autoSpatialLevel(recordsI, windowSec, levels, sampleEntities, poolEntities, Seed + 1)._1,
     )
 }

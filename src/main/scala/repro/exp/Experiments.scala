@@ -62,8 +62,11 @@ object Experiments {
                               nCandidates: Long, elapsedMs: Long, threshold: Double,
                               gmm: Option[Gmm.Gmm2])
 
-  def runSlim(spark: SparkSession, sc: Scenario, cfg: Slim.SlimConfig): RunMetrics = {
-    val r = Slim.link(spark, sc.e, sc.i, cfg)
+  def runSlim(spark: SparkSession, sc: Scenario, cfg: Slim.SlimConfig): RunMetrics =
+    runMetrics(sc, Slim.link(spark, sc.e, sc.i, cfg))
+
+  /** [[runSlim]]'s numbers of a link already run on `sc`. */
+  def runMetrics(sc: Scenario, r: Slim.SlimResult): RunMetrics = {
     val m = Metrics.prf(r.links.map(l => (l._1, l._2)), sc.truth)
     RunMetrics(m.precision, m.recall, m.f1, r.alibiEntityPairs, r.comparisons,
       r.nCandidates, r.elapsedMs, r.threshold, r.gmm)
@@ -256,17 +259,10 @@ object Experiments {
     */
   val ComparisonLsh = Lsh.LshConfig(t = 0.5, sigLevel = 14, stepWindows = 48)
 
-  /** All pairwise SLIM scores (brute force) — the ranking behind SLIM's
-    * Hit-Precision@k.
-    */
-  def slimScores(sc: Scenario, cfg: Slim.SlimConfig): Map[(Long, Long), Double] = {
-    val stage1 = Slim.prepare(sc.e, sc.i, cfg)
-    try Slim.scorePairs(stage1, cfg.scoreConfig).map(p => ((p.uid, p.vid), p.score)).toMap
-    finally stage1.unpersist()
-  }
-
   /** Fig 11a/b: SLIM (LSH), SLIM-noLSH, ST-Link and GM on datasets of
-    * increasing record density: Hit-Precision@40, F1, runtime.
+    * increasing record density: Hit-Precision@40, F1, runtime. SLIM's
+    * Hit-Precision@40 ranks every pair sharing a window by its brute-force
+    * score, from the SLIM-noLSH run.
     */
   def comparison(spark: SparkSession, mkScenario: Double => Scenario,
                  avgRecords: Seq[Double]): Seq[ComparisonRow] =
@@ -275,10 +271,9 @@ object Experiments {
       val pivots = sc.pair.pivotIds
       val cfg = Slim.SlimConfig()
 
-      val scores = slimScores(sc, cfg)
-      val hpSlim = Metrics.hitPrecisionAtK(scores, pivots, sc.truth, HitPrecisionK)
-
-      val noLsh = runSlim(spark, sc, cfg)
+      val bruteForce = Slim.link(spark, sc.e, sc.i, cfg)
+      val hpSlim = Metrics.hitPrecisionAtK(bruteForce.scores, pivots, sc.truth, HitPrecisionK)
+      val noLsh = runMetrics(sc, bruteForce)
       val withLsh = runSlim(spark, sc, cfg.copy(lsh = Some(ComparisonLsh)))
 
       val st = STLink.run(spark, sc.e, sc.i,

@@ -72,7 +72,8 @@ class LshSparkSpec extends SparkSpec {
   }
 
   test("property: a signature's qidx is floorDiv of its history window by the step") {
-    // Slim.link sizes the bands from stage 1's window range on this identity.
+    // Slim.link aligns the signatures by stage 1's signature counts' qidx range
+    // on this identity.
     val rnd = new scala.util.Random(20261017L)
     for ((windowSec, step) <- Seq((900L, 48), (900L, 4), (21600L, 3), (7L, 13), (1L, 1))) {
       val qSec = windowSec * step

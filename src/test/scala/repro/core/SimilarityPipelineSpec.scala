@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
-import repro.exp.Experiments
 import repro.mobility.MobilityGen
 import Histories.{SideE, SideI}
 import TestSupport.{recordsDf, refBins}
@@ -170,16 +169,15 @@ class SimilarityPipelineSpec extends SparkSpec {
     val saved = spark.conf.get(key)
     val runs = try for (n <- Seq(1, 7, 64)) yield {
       spark.conf.set(key, n.toString)
-      def stats(p: Slim.Prepared) = (p.nEntities, p.meanLength, p.minWin, p.maxWin, p.norms)
       def rows(st: Slim.Stage1, c: Option[Array[(Long, Long)]]) =
         Slim.scorePairs(st, cfg, c).map(p => (p.uid, p.vid) -> (p.score, p.comparisons, p.alibis)).toMap
       val bf = withStage1(pair.e, pair.i, PrepCfg) { st =>
-        (stats(st.e), stats(st.i), rows(st, None), rows(st, Some(candidates)))
+        (st.e, st.i, rows(st, None), rows(st, Some(candidates)))
       }
       // LSH with signatures finer than the scoring level: its own candidates.
       val fine = withStage1(pair.e, pair.i, FineCfg) { st =>
         val c = Slim.lshCandidates(st, FineLsh)
-        (stats(st.e), stats(st.i), c.toSet, rows(st, Some(c)))
+        (st.e, st.i, c.toSet, rows(st, Some(c)))
       }
       (n, bf, fine)
     } finally spark.conf.set(key, saved)
@@ -218,10 +216,10 @@ class SimilarityPipelineSpec extends SparkSpec {
       localScoreAll(collectRows(pair.e), collectRows(pair.i), cfg))
   }
 
-  test("Experiments.slimScores scores every window-sharing pair as LocalReference does") {
+  test("a brute-force link scores every window-sharing pair as LocalReference does") {
     val pair = genPair(10, 60, 0.7)
     val cfg = Slim.SlimConfig(level = Level, windowSec = WindowSec, bParam = BParam)
-    val scores = Experiments.slimScores(Experiments.Scenario("small", pair), cfg)
+    val scores = Slim.link(spark, pair.e, pair.i, cfg).scores
     val dsE = LocalReference.Dataset.fromRecords(collectRows(pair.e), Level, WindowSec, BParam)
     val dsI = LocalReference.Dataset.fromRecords(collectRows(pair.i), Level, WindowSec, BParam)
     val sharing = for {
@@ -231,7 +229,7 @@ class SimilarityPipelineSpec extends SparkSpec {
     assert(scores.keySet == sharing.toSet)
     for (((u, v), s) <- scores) {
       val ref = LocalReference.score(dsE, dsI, u, v, cfg.scoreConfig, BParam)
-      assert(math.abs(s - ref) <= 1e-9, s"pair ($u, $v): slimScores=$s local=$ref")
+      assert(math.abs(s - ref) <= 1e-9, s"pair ($u, $v): link=$s local=$ref")
     }
   }
 

@@ -60,8 +60,7 @@ class SlimIntegrationSpec extends SparkSpec {
   }
 
   /** Every window-sharing pair's brute-force score. */
-  private lazy val bruteForce = repro.exp.Experiments.slimScores(
-    repro.exp.Experiments.Scenario("integration", pair), cfg)
+  private lazy val bruteForce = bf.scores
 
   test("every matched LSH edge weighs the brute-force score of its pair") {
     assert(lsh.matched.nonEmpty)
@@ -74,6 +73,18 @@ class SlimIntegrationSpec extends SparkSpec {
   test("LSH candidates from stage 1's window range equal those from the signatures' range") {
     val fromSignatures = TestSupport.candidatePairs(pair.e, pair.i, lshCfg.lsh.get, cfg.windowSec)
     assert(lsh.nCandidates == fromSignatures._1.count())
+    // Windows 0-3 are the query windows; window 0 holds only E's records and
+    // window 3 only I's, so the range spans both sides: 2 rows per band. From
+    // either side's range alone, (1, 101) would share a band of window 1.
+    def at(id: Long, win: Long, lat: Double) = (id, win * cfg.windowSec + 10, lat, 10.0)
+    val e = recordsDf(spark, Seq(at(1, 0, 10.0), at(1, 1, 10.0), at(2, 1, 30.0)))
+    val i = recordsDf(spark, Seq(at(101, 1, 10.0), at(101, 3, 20.0), at(102, 1, 30.0)))
+    val l = Lsh.LshConfig(t = 0.5, sigLevel = 14, stepWindows = 1, numBuckets = 4096)
+    val want = TestSupport.candidatePairs(e, i, l, cfg.windowSec)._1.collect()
+      .map(r => (r.getLong(0), r.getLong(1))).toSet
+    val stage1 = Slim.prepare(e, i, cfg.copy(lsh = Some(l)))
+    val got = try Slim.lshCandidates(stage1, l) finally stage1.unpersist()
+    assert(want == Set((2L, 102L)) && got.toSet == want && got.length == want.size)
   }
 
   /** LSH with signatures finer than the scoring level: stage 1 bins at the

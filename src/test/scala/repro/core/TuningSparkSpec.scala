@@ -10,8 +10,7 @@ class TuningSparkSpec extends SparkSpec {
 
   test("self-similarity ratio curve decreases then flattens with spatial detail") {
     val curve = Tuning.selfSimilarityCurve(records, windowSec = 900,
-      levels = Seq(4, 6, 8, 10, 12, 14, 16, 18), bParam = 0.5, speedKmPerMin = 2.0,
-      sampleEntities = 6, poolEntities = 15)
+      levels = Seq(4, 6, 8, 10, 12, 14, 16, 18), sampleEntities = 6, poolEntities = 15)
     assert(curve.size == 8)
     val ys = curve.map(_._2)
     // coarse levels: pairs look like self (ratio near 1); fine levels: much lower
