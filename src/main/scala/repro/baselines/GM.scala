@@ -13,24 +13,13 @@ import repro.core.{Gmm, Grid, Matching}
   * v's records (and transitions) under u's model. Unlike SLIM, records from
   * *different* temporal windows contribute (the slot model is periodic), and
   * there is no blocking: scoring is quadratic in the entity counts, which is
-  * why the paper finds GM two orders of magnitude slower.
+  * why the paper finds GM two orders of magnitude slower. The model's
+  * settings are constants.
   *
   * As in the paper's comparison, SLIM's greedy matching and GMM stop
   * threshold are applied on top of GM's similarity scores to obtain links.
   */
 object GM {
-
-  /** @param slots        time-of-day slots for the periodic location model
-    * @param markovLevel  coarse grid level for the Markov transitions
-    * @param minSigmaKm   variance floor of the slot Gaussians
-    * @param markovWeight weight of the Markov term in the combined score
-    */
-  final case class Config(
-      slots: Int = 24,
-      markovLevel: Int = 10,
-      minSigmaKm: Double = 0.5,
-      markovWeight: Double = 0.3,
-  )
 
   /** Per-entity model: slot -> (meanLat, meanLon, sigmaLatDeg, sigmaLonDeg,
     * weight), a global fallback Gaussian, and Markov transition log-probs.
@@ -57,28 +46,33 @@ object GM {
 
   private val KmPerDeg = 111.32
 
-  private def gauss(rows: Seq[(Double, Double)], minSigmaDeg: Double): (Double, Double, Double, Double) = {
+  private val Slots = 24                   // time-of-day slots of the location model
+  private val MarkovLevel = 10             // grid level of the Markov transitions
+  private val MinSigmaDeg = 0.5 / KmPerDeg // variance floor of the slot Gaussians: 0.5 km
+  private val MarkovWeight = 0.3           // weight of the Markov term in the score
+
+  private def slotOf(ts: Long): Int = ((ts % 86400) * Slots / 86400).toInt
+
+  private def gauss(rows: Seq[(Double, Double)]): (Double, Double, Double, Double) = {
     val n = rows.size
     val mLat = rows.map(_._1).sum / n
     val mLon = rows.map(_._2).sum / n
     def sd(vs: Seq[Double], m: Double) =
-      math.max(math.sqrt(vs.map(v => (v - m) * (v - m)).sum / n), minSigmaDeg)
+      math.max(math.sqrt(vs.map(v => (v - m) * (v - m)).sum / n), MinSigmaDeg)
     (mLat, mLon, sd(rows.map(_._1), mLat), sd(rows.map(_._2), mLon))
   }
 
   /** Fit one entity's model from its `(ts, lat, lon)` records. */
-  def fitModel(records: Seq[(Long, Double, Double)], cfg: Config): Model = {
-    val minSigmaDeg = cfg.minSigmaKm / KmPerDeg
-    val slotOf = (ts: Long) => ((ts % 86400) * cfg.slots / 86400).toInt
+  def fitModel(records: Seq[(Long, Double, Double)]): Model = {
     val bySlot = records.groupBy(r => slotOf(r._1))
     val n = records.size.toDouble
     val slotGauss = bySlot.map { case (s, rs) =>
-      val (a, b, c, d) = gauss(rs.map(r => (r._2, r._3)), minSigmaDeg)
+      val (a, b, c, d) = gauss(rs.map(r => (r._2, r._3)))
       s -> (a, b, c, d, rs.size / n)
     }
-    val global = gauss(records.map(r => (r._2, r._3)), minSigmaDeg)
+    val global = gauss(records.map(r => (r._2, r._3)))
     // Markov transitions between consecutive records' coarse cells.
-    val cells = records.sortBy(_._1).map(r => Grid.cellOf(r._2, r._3, cfg.markovLevel))
+    val cells = records.sortBy(_._1).map(r => Grid.cellOf(r._2, r._3, MarkovLevel))
     val trans = cells.zip(cells.drop(1)).groupBy(identity).view.mapValues(_.size).toMap
     val outTotals = trans.groupBy(_._1._1).view.mapValues(_.values.sum).toMap
     val nStates = math.max(1, cells.distinct.size)
@@ -98,9 +92,8 @@ object GM {
     * under `m`: 0.7 slot-model + 0.3 global blend per record, plus the
     * Markov transition term.
     */
-  def score(m: Model, records: Seq[(Long, Double, Double)], cfg: Config): Double = {
+  def score(m: Model, records: Seq[(Long, Double, Double)]): Double = {
     if (records.isEmpty) return Double.NegativeInfinity
-    val slotOf = (ts: Long) => ((ts % 86400) * cfg.slots / 86400).toInt
     def ll(lat: Double, lon: Double, g: (Double, Double, Double, Double)): Double =
       logNorm(lat, g._1, g._3) + logNorm(lon, g._2, g._4)
     val locScore = records.map { case (ts, lat, lon) =>
@@ -112,26 +105,25 @@ object GM {
         case None => gl
       }
     }.sum / records.size
-    val cells = records.sortBy(_._1).map(r => Grid.cellOf(r._2, r._3, cfg.markovLevel))
+    val cells = records.sortBy(_._1).map(r => Grid.cellOf(r._2, r._3, MarkovLevel))
     val pairs = cells.zip(cells.drop(1))
     val markov =
       if (pairs.isEmpty) 0.0
       else pairs.map(p => m.transLogP.getOrElse(p, m.transFloor)).sum / pairs.size
-    locScore + cfg.markovWeight * markov
+    locScore + MarkovWeight * markov
   }
 
   /** Run GM linkage: fit models on E, score all (u, v) pairs, then apply
     * SLIM's matching + stop threshold over the scores.
     */
-  def run(spark: SparkSession, recordsE: DataFrame, recordsI: DataFrame,
-          cfg: Config = Config()): Result = {
+  def run(spark: SparkSession, recordsE: DataFrame, recordsI: DataFrame): Result = {
     import spark.implicits._
     val t0 = System.nanoTime()
 
     val models: Map[Long, Model] = recordsE
       .select("id", "ts", "lat", "lon").as[(Long, Long, Double, Double)]
       .collect().toSeq.groupBy(_._1)
-      .map { case (id, rs) => id -> fitModel(rs.map(r => (r._2, r._3, r._4)), cfg) }
+      .map { case (id, rs) => id -> fitModel(rs.map(r => (r._2, r._3, r._4))) }
     val bModels = spark.sparkContext.broadcast(models)
     val uids = models.keys.toSeq.sorted
 
@@ -143,7 +135,7 @@ object GM {
     val scores: Map[(Long, Long), Double] = tracesI
       .flatMap { case (vid, trace) =>
         val ms = bModels.value
-        uids.map(uid => ((uid, vid), score(ms(uid), trace, cfg)))
+        uids.map(uid => ((uid, vid), score(ms(uid), trace)))
       }
       .collect().toMap
 

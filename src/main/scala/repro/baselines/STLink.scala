@@ -29,7 +29,7 @@ object STLink {
   final case class Config(
       level: Int = 14,
       windowSec: Long = 900,
-      speedKmPerMin: Double = 2.0,
+      speedKmPerMin: Double = Proximity.MaxSpeedKmPerMin,
       alibiTolerance: Int = 3,
       k: Option[Int] = None,
       l: Option[Int] = None,

@@ -28,6 +28,8 @@ object Gmm {
   }
 
   private val MinSigmaRatio = 1e-4
+  private val EmIters = 200     // iterations of fit
+  private val GridPoints = 1024 // thresholds selectThreshold tries
 
   /** Standard normal CDF via the Abramowitz–Stegun erf approximation
     * (|error| < 1.5e-7 — far below what threshold selection needs).
@@ -49,10 +51,10 @@ object Gmm {
     math.exp(-0.5 * z * z) / (sigma * math.sqrt(2 * math.Pi))
   }
 
-  /** Fit by EM. Initialization is deterministic: components start at the 25th
-    * and 75th percentiles with half the sample standard deviation each.
+  /** Fit by EM, 200 iterations. Components start, deterministically, at the
+    * 25th and 75th percentiles with half the sample standard deviation each.
     */
-  def fit(xs: Array[Double], iters: Int = 200): Gmm2 = {
+  def fit(xs: Array[Double]): Gmm2 = {
     require(xs.length >= 2, "need at least two points to fit a mixture")
     val sorted = xs.sorted
     val mean = xs.sum / xs.length
@@ -67,7 +69,7 @@ object Gmm {
     var s1 = math.max(sd0 / 2, sigmaFloor); var s2 = s1
 
     var it = 0
-    while (it < iters) {
+    while (it < EmIters) {
       // E-step: responsibilities of component 1.
       var n1 = 0.0; var sum1 = 0.0; var sum2 = 0.0; var ss1 = 0.0; var ss2 = 0.0
       var k = 0
@@ -107,15 +109,15 @@ object Gmm {
     (p, r, f1)
   }
 
-  /** Grid-search the expected-F1-maximizing threshold over the weight range.
-    * Returns negative infinity (keep everything) for degenerate inputs.
+  /** Grid-search the expected-F1-maximizing threshold at 1024 points over
+    * `[lo, hi]`. Returns negative infinity (keep everything) for degenerate inputs.
     */
-  def selectThreshold(g: Gmm2, lo: Double, hi: Double, gridPoints: Int = 1024): Double = {
+  def selectThreshold(g: Gmm2, lo: Double, hi: Double): Double = {
     if (!(hi > lo)) return Double.NegativeInfinity
     var best = lo; var bestF1 = -1.0
     var k = 0
-    while (k < gridPoints) {
-      val s = lo + (hi - lo) * k / (gridPoints - 1)
+    while (k < GridPoints) {
+      val s = lo + (hi - lo) * k / (GridPoints - 1)
       val f1 = expectedPrf(g, s)._3
       if (f1 > bestF1) { bestF1 = f1; best = s }
       k += 1

@@ -20,10 +20,10 @@ object LocalReference {
 
   object Dataset {
     /** Build from raw `(id, ts, lat, lon)` tuples. `bParam` is the BM25
-      * length-normalisation weight b; the default 0.5 is the paper's.
+      * length-normalisation weight b, by default the paper's [[Slim.BParam]].
       */
     def fromRecords(rows: Seq[(Long, Long, Double, Double)], level: Int,
-                    windowSec: Long, bParam: Double = 0.5): Dataset = {
+                    windowSec: Long, bParam: Double = Slim.BParam): Dataset = {
       val binned = rows.map { case (id, ts, lat, lon) =>
         (id, math.floorDiv(ts, windowSec), Grid.cellOf(lat, lon, level))
       }
@@ -49,7 +49,7 @@ object LocalReference {
     * is unused: the norms were fixed by [[Dataset.fromRecords]]' own b.
     */
   def score(e: Dataset, i: Dataset, u: Long, v: Long,
-            cfg: Similarity.ScoreConfig, bParam: Double = 0.5): Double = {
+            cfg: Similarity.ScoreConfig, bParam: Double = Slim.BParam): Double = {
     val hu = e.histories.getOrElse(u, Map.empty)
     val hv = i.histories.getOrElse(v, Map.empty)
     val shared = hu.keySet.intersect(hv.keySet)

@@ -32,17 +32,16 @@ object Similarity {
   /** Ablation: full cross product of same-window bins (Fig. 10 "All Pairs"). */
   case object AllPairs extends Pairing
 
-  /** Scoring configuration shared by the in-core and DataFrame paths.
+  /** Scoring configuration shared by the in-core and DataFrame paths. The
+    * alibi penalty's clamp is the constant [[Proximity.DefaultFloor]].
     *
     * @param runawayKm runaway distance R for the similarity window width
-    * @param floor     clamp for the alibi penalty (DESIGN S3)
     * @param pairing   bin pairing strategy (ablations)
     * @param useIdf    include the min-idf multiplier (Fig. 10 "No IDF" off)
     * @param useNorm   divide by L(u)L(v) (Fig. 10 "No Normalization" off)
     */
   final case class ScoreConfig(
       runawayKm: Double,
-      floor: Double = Proximity.DefaultFloor,
       pairing: Pairing = MnnWithMfn,
       useIdf: Boolean = true,
       useNorm: Boolean = true,
@@ -145,7 +144,7 @@ object Similarity {
       }
     }
 
-    private def prox(d: Double): Double = Proximity.proximity(d, cfg.runawayKm, cfg.floor)
+    private def prox(d: Double): Double = Proximity.proximity(d, cfg.runawayKm)
 
     private def weight(a: Int, b: Int): Double =
       if (cfg.useIdf) math.min(ui(uFrom + a), vi(vFrom + b)) else 1.0

@@ -42,24 +42,29 @@ import scala.collection.mutable
   */
 object Slim {
 
+  /** BM25 length-normalisation weight b of the norms L(u) (Eq. 2), the paper's (§5.1). */
+  val BParam: Double = 0.5
+
   /** Full pipeline configuration. Defaults mirror the paper's (§5.1): 15-min
-    * windows, b = 0.5, max speed 2 km/min. The default spatial level is 14 —
-    * our grid's ~equivalent of the paper's S2 level 12 (DESIGN S1).
+    * windows. b ([[BParam]]), the max speed α ([[Proximity.MaxSpeedKmPerMin]])
+    * and the alibi floor ([[Proximity.DefaultFloor]]) are constants, the
+    * paper's. The default spatial level is 14 — our grid's ~equivalent of the
+    * paper's S2 level 12 (DESIGN S1).
     */
   final case class SlimConfig(
       level: Int = 14,
       windowSec: Long = 900,
-      bParam: Double = 0.5,
-      speedKmPerMin: Double = 2.0,
-      floor: Double = Proximity.DefaultFloor,
       pairing: Similarity.Pairing = Similarity.MnnWithMfn,
       useIdf: Boolean = true,
       useNorm: Boolean = true,
       lsh: Option[Lsh.LshConfig] = None,
   ) {
+    /** Always [[BParam]]; readable because perfbench's reference norms read it. */
+    def bParam: Double = BParam
+
     def scoreConfig: Similarity.ScoreConfig = Similarity.ScoreConfig(
-      runawayKm = Proximity.runawayKm(windowSec, speedKmPerMin),
-      floor = floor, pairing = pairing, useIdf = useIdf, useNorm = useNorm)
+      runawayKm = Proximity.runawayKm(windowSec, Proximity.MaxSpeedKmPerMin),
+      pairing = pairing, useIdf = useIdf, useNorm = useNorm)
   }
 
   /** Pipeline output plus the cost/diagnostic counters the evaluation plots.
@@ -159,7 +164,6 @@ object Slim {
     * [[Stage1.unpersist]]; a failed collect releases it here.
     */
   def prepare(recordsE: DataFrame, recordsI: DataFrame, cfg: SlimConfig): Stage1 = {
-    require(cfg.bParam >= 0 && cfg.bParam <= 1, s"b=${cfg.bParam} out of [0,1]")
     val level = cfg.level
     val binLevel = cfg.lsh.fold(level)(l => math.max(level, l.sigLevel))
     val hist = Histories.buildSides(recordsE, recordsI, binLevel, cfg.windowSec).cache()
@@ -187,8 +191,7 @@ object Slim {
       val sizes = nbins.collect { case ((`s`, id), n) => id -> n }
       val mean = if (sizes.isEmpty) 0.0 else sizes.valuesIterator.sum.toDouble / sizes.size
       // Histories.lengthNorm's column expression, in its operation order.
-      val b = cfg.bParam
-      Prepared(sizes.map { case (id, n) => id -> ((1.0 - b) + b * n / mean) })
+      Prepared(sizes.map { case (id, n) => id -> ((1.0 - BParam) + BParam * n / mean) })
     }
     Stage1(side(Histories.SideE), side(Histories.SideI), hist, bins, level, binLevel,
       parts.flatMap(_._2))

@@ -39,9 +39,6 @@ object Tuning {
     best
   }
 
-  /** Runaway speed of the tuner's similarity window, km/min (the paper's). */
-  private val SpeedKmPerMin = 2.0
-
   /** Seed of a dataset's entity sample; [[autoSpatialLevelPair]] samples
     * dataset I with `Seed + 1`.
     */
@@ -73,8 +70,8 @@ object Tuning {
       // idf off: at coarse levels every entity shares every bin, idf -> 0 and
       // all scores vanish, flattening the curve the tuner needs. Spatial
       // distinguishability is what is being measured, not bin rarity.
-      val cfg = Similarity.ScoreConfig(Proximity.runawayKm(windowSec, SpeedKmPerMin),
-        useIdf = false)
+      val cfg = Similarity.ScoreConfig(
+        Proximity.runawayKm(windowSec, Proximity.MaxSpeedKmPerMin), useIdf = false)
       val ratios = for {
         u <- sample if local.histories.contains(u)
         selfSim = LocalReference.score(local, local, u, u, cfg)

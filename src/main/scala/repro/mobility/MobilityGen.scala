@@ -37,7 +37,7 @@ object MobilityGen {
 
   final case class City(lat: Double, lon: Double)
 
-  /** Generator configuration.
+  /** Generator configuration. Every trace starts at [[StartEpoch]].
     *
     * @param nEntities        ground-truth entity count
     * @param days             time span of the trace
@@ -49,9 +49,8 @@ object MobilityGen {
     *                         (truncated at 2 sigma so it cannot fake an alibi)
     * @param stayMinutes      mean stay duration
     * @param travelKmPerMin   movement speed between anchors; must stay below
-    *                         the linkage's runaway speed (2 km/min) so an
-    *                         entity can never alibi against itself
-    * @param startEpoch       epoch seconds of the trace start
+    *                         `Proximity.MaxSpeedKmPerMin` so an entity can
+    *                         never alibi against itself
     * @param seed             master seed
     */
   final case class GenConfig(
@@ -63,9 +62,8 @@ object MobilityGen {
       anchorsPerEntity: Int,
       noiseKm: Double,
       stayMinutes: Int,
-      travelKmPerMin: Double = 1.5,
-      startEpoch: Long = 1514764800L, // 2018-01-01
-      seed: Long = 17,
+      travelKmPerMin: Double,
+      seed: Long,
   ) {
     require(nEntities > 0 && days > 0 && recordsPerEntity >= 1 && cities.nonEmpty)
     /** Anchors are capped at this radius from the city center so every
@@ -78,11 +76,14 @@ object MobilityGen {
 
   private val KmPerDegLat = 111.32
 
+  /** Epoch seconds of every trace's start: 2018-01-01T00:00Z. */
+  val StartEpoch: Long = 1514764800L
+
   /** Cab-like profile: one dense metro area, few entities, many records each
     * (the paper's SF taxi regime, scaled down per DESIGN S4).
     */
-  def cabConfig(nEntities: Int = 400, recordsPerEntity: Double = 600,
-                days: Int = 7, seed: Long = 17): GenConfig =
+  def cabConfig(nEntities: Int, recordsPerEntity: Double, days: Int,
+                seed: Long = 17): GenConfig =
     GenConfig(nEntities, days, recordsPerEntity,
       cities = Seq(City(37.77, -122.42)),
       citySigmaKm = 8.0, anchorsPerEntity = 8, noiseKm = 0.4,
@@ -91,8 +92,8 @@ object MobilityGen {
   /** SM-like profile: many cities worldwide, many entities, ~tens of records
     * each (the paper's Twitter/Foursquare regime).
     */
-  def smConfig(nEntities: Int = 3000, recordsPerEntity: Double = 24,
-               days: Int = 26, seed: Long = 19): GenConfig =
+  def smConfig(nEntities: Int, recordsPerEntity: Double, days: Int,
+               seed: Long = 19): GenConfig =
     GenConfig(nEntities, days, recordsPerEntity,
       cities = Seq(
         City(40.71, -74.01), City(51.51, -0.13), City(35.68, 139.69),
@@ -176,7 +177,7 @@ object MobilityGen {
     times.toIndexedSeq.map { dt =>
       val (la, lo) = positionAt(dt)
       val noiseRnd = new Random(id * 0x2545F4914F6CDD1DL ^ dt * 0x9E3779B97F4A7C15L)
-      GenRecord(id, cfg.startEpoch + dt,
+      GenRecord(id, StartEpoch + dt,
         math.max(-89.99, math.min(89.99, la + tGauss(noiseRnd) * cfg.noiseKm / KmPerDegLat)),
         lo + tGauss(noiseRnd) * cfg.noiseKm / kmPerDegLon)
     }
@@ -196,7 +197,7 @@ object MobilityGen {
     * @param i        second dataset, ids offset by [[IdOffset]] (anonymized —
     *                 the pipeline must not rely on cross-dataset id equality)
     * @param truth    ground-truth mapping u -> v for entities present (with
-    *                 more than `minRecords` records) in both datasets
+    *                 more than 5 records) in both datasets
     * @param pivotIds surviving entity ids of dataset e (hit-precision base)
     */
   final case class SampledPair(e: DataFrame, i: DataFrame,
@@ -205,18 +206,21 @@ object MobilityGen {
   /** Id offset applied to the second dataset's entities. */
   val IdOffset: Long = 1000000L
 
+  private val MinRecords = 5 // §5.1: a sampled entity with at most this many records is dropped
+  private val SeedE = 101L   // per-record inclusion draws of dataset E
+  private val SeedI = 202L   // and of dataset I
+
   /** Sample two datasets from a ground trace per §5.1.
     *
     * Dataset E draws entities [0, n); dataset I draws [n-common, 2n-common)
     * where `common = round(intersectRatio * n)` — so their overlap is exactly
     * the requested ratio of each side's entity count. Each record is then
-    * kept independently per side with `inclusionProb` (different seeds —
-    * services are asynchronous), and entities with <= `minRecords` records
-    * are dropped.
+    * kept independently per side with `inclusionProb` (fixed, different
+    * seeds — services are asynchronous), and entities with at most 5
+    * records are dropped.
     */
   def samplePair(ground: DataFrame, n: Int, intersectRatio: Double,
-                 inclusionProb: Double, minRecords: Int = 5,
-                 seedE: Long = 101, seedI: Long = 202): SampledPair = {
+                 inclusionProb: Double): SampledPair = {
     require(intersectRatio >= 0 && intersectRatio <= 1)
     require(inclusionProb > 0 && inclusionProb <= 1)
     val common = math.round(intersectRatio * n).toInt
@@ -227,12 +231,12 @@ object MobilityGen {
         .filter(col("id") >= lo && col("id") < hi)
         .filter(rand(seed) < inclusionProb)
       val eligible = kept.groupBy("id").agg(count(lit(1)).as("nr"))
-        .filter(col("nr") > minRecords).select("id")
+        .filter(col("nr") > MinRecords).select("id")
       kept.join(eligible, "id")
     }
 
-    val e = side(0, n, seedE).cache()
-    val iRaw = side(loI, hiI, seedI)
+    val e = side(0, n, SeedE).cache()
+    val iRaw = side(loI, hiI, SeedI)
     val i = iRaw.withColumn("id", col("id") + IdOffset).cache()
 
     val idsE = e.select("id").distinct().collect().map(_.getLong(0)).toSet

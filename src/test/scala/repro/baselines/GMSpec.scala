@@ -13,7 +13,7 @@ class GMSpec extends SparkSpec {
 
   test("fitModel: slot Gaussians center on the records") {
     val recs = (0 until 50).map(i => (i * 3600L, 37.77 + 0.001 * (i % 3), -122.42))
-    val m = GM.fitModel(recs, GM.Config())
+    val m = GM.fitModel(recs)
     assert(m.slotGauss.nonEmpty)
     for ((_, (muLat, muLon, sLat, sLon, w)) <- m.slotGauss) {
       assert(math.abs(muLat - 37.771) < 0.01)
@@ -26,7 +26,7 @@ class GMSpec extends SparkSpec {
   test("fitModel: Markov transitions are log-probabilities") {
     val recs = (0 until 30).map(i =>
       (i * 600L, 37.77 + (i % 2) * 0.1, -122.42)) // alternate two cells
-    val m = GM.fitModel(recs, GM.Config())
+    val m = GM.fitModel(recs)
     assert(m.transLogP.nonEmpty)
     assert(m.transLogP.values.forall(v => v < 0))
     assert(m.transFloor < m.transLogP.values.max)
@@ -35,13 +35,13 @@ class GMSpec extends SparkSpec {
   test("score: an entity's model likes its own trace more than a distant one") {
     val own = (0 until 40).map(i => (i * 1800L, 37.77, -122.42))
     val other = (0 until 40).map(i => (i * 1800L, 40.71, -74.01))
-    val m = GM.fitModel(own, GM.Config())
-    assert(GM.score(m, own, GM.Config()) > GM.score(m, other, GM.Config()))
+    val m = GM.fitModel(own)
+    assert(GM.score(m, own) > GM.score(m, other))
   }
 
   test("score of an empty trace is -infinity") {
-    val m = GM.fitModel(Seq((0L, 37.77, -122.42), (600L, 37.77, -122.42)), GM.Config())
-    assert(GM.score(m, Nil, GM.Config()).isNegInfinity)
+    val m = GM.fitModel(Seq((0L, 37.77, -122.42), (600L, 37.77, -122.42)))
+    assert(GM.score(m, Nil).isNegInfinity)
   }
 
   test("GM links planted entities with reasonable accuracy on dense data") {

@@ -38,7 +38,6 @@ class ProximitySpec extends AnyFunSuite {
   test("d >= 2R clamps to the floor instead of -infinity (DESIGN S3)") {
     assert(Proximity.proximity(60.0, 30.0) == Proximity.DefaultFloor)
     assert(Proximity.proximity(1e9, 30.0) == Proximity.DefaultFloor)
-    assert(Proximity.proximity(60.0, 30.0, floor = -5.0) == -5.0)
   }
 
   test("proximity is monotone decreasing and smooth away from the clamp") {

@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.mobility.MobilityGen
 import Histories.{SideE, SideI}
+import Slim.BParam
 import TestSupport.{recordsDf, refBins}
 
 /** The DataFrame similarity join cross-checked against [[LocalReference]]. */
@@ -11,9 +12,9 @@ class SimilarityPipelineSpec extends SparkSpec {
 
   private val Level = 13
   private val WindowSec = 900L
-  private val BParam = 0.5
+  private val RunawayKm = Proximity.runawayKm(WindowSec, Proximity.MaxSpeedKmPerMin)
 
-  private val PrepCfg = Slim.SlimConfig(level = Level, windowSec = WindowSec, bParam = BParam)
+  private val PrepCfg = Slim.SlimConfig(level = Level, windowSec = WindowSec)
 
   /** LSH with signatures finer than the scoring level: stage 1 bins at the
     * signature level and stage 3 views the histories at `Level`.
@@ -82,8 +83,7 @@ class SimilarityPipelineSpec extends SparkSpec {
   for (pairing <- Seq(Similarity.MnnWithMfn, Similarity.MnnOnly, Similarity.AllPairs)) {
     test(s"scoreEdges equals LocalReference ($pairing)") {
       val pair = genPair(10, 60, 0.7)
-      val cfg = Similarity.ScoreConfig(
-        runawayKm = Proximity.runawayKm(WindowSec, 2.0), pairing = pairing)
+      val cfg = Similarity.ScoreConfig(runawayKm = RunawayKm, pairing = pairing)
       assertAgree(
         scoreAll(pair.e, pair.i, cfg),
         localScoreAll(collectRows(pair.e), collectRows(pair.i), cfg))
@@ -105,8 +105,7 @@ class SimilarityPipelineSpec extends SparkSpec {
   for (pairing <- Seq(Similarity.MnnWithMfn, Similarity.MnnOnly, Similarity.AllPairs)) {
     test(s"shared-window scoring equals scoreEdges over all pairs ($pairing)") {
       val (pair, candidates) = (equivPair, equivCandidates)
-      val cfg = Similarity.ScoreConfig(
-        runawayKm = Proximity.runawayKm(WindowSec, 2.0), pairing = pairing)
+      val cfg = Similarity.ScoreConfig(runawayKm = RunawayKm, pairing = pairing)
       assert(candidates.nonEmpty)
       def rows(scores: Array[Similarity.PairScore]) =
         scores.map(p => (p.uid, p.vid) -> (p.score, p.comparisons, p.alibis)).toMap
@@ -141,7 +140,7 @@ class SimilarityPipelineSpec extends SparkSpec {
       // finer signature level, and the per-pair sums are finished on the
       // driver: no query to plan, and one job of one stage with no shuffle.
       val pair = genPair(8, 50, 0.7)
-      val cfg = Similarity.ScoreConfig(runawayKm = Proximity.runawayKm(WindowSec, 2.0))
+      val cfg = Similarity.ScoreConfig(runawayKm = RunawayKm)
       val fine = path == "LSH at a finer signature level"
       val (sqlExecutions, jobs) = withStage1(pair.e, pair.i, if (fine) FineCfg else PrepCfg) { st =>
         val candidates =
@@ -164,7 +163,7 @@ class SimilarityPipelineSpec extends SparkSpec {
     // counts, the norms and every pair's counters are exact at any partition
     // count; only the order of a pair's floating-point additions moves.
     val (pair, candidates) = (equivPair, equivCandidates)
-    val cfg = Similarity.ScoreConfig(runawayKm = Proximity.runawayKm(WindowSec, 2.0))
+    val cfg = Similarity.ScoreConfig(runawayKm = RunawayKm)
     val key = "spark.sql.shuffle.partitions"
     val saved = spark.conf.get(key)
     val runs = try for (n <- Seq(1, 7, 64)) yield {
@@ -209,8 +208,7 @@ class SimilarityPipelineSpec extends SparkSpec {
 
   test("scoreEdges equals LocalReference without idf and norm") {
     val pair = genPair(8, 50, 0.7)
-    val cfg = Similarity.ScoreConfig(
-      runawayKm = Proximity.runawayKm(WindowSec, 2.0), useIdf = false, useNorm = false)
+    val cfg = Similarity.ScoreConfig(runawayKm = RunawayKm, useIdf = false, useNorm = false)
     assertAgree(
       scoreAll(pair.e, pair.i, cfg),
       localScoreAll(collectRows(pair.e), collectRows(pair.i), cfg))
@@ -218,7 +216,7 @@ class SimilarityPipelineSpec extends SparkSpec {
 
   test("a brute-force link scores every window-sharing pair as LocalReference does") {
     val pair = genPair(10, 60, 0.7)
-    val cfg = Slim.SlimConfig(level = Level, windowSec = WindowSec, bParam = BParam)
+    val cfg = Slim.SlimConfig(level = Level, windowSec = WindowSec)
     val scores = Slim.link(spark, pair.e, pair.i, cfg).scores
     val dsE = LocalReference.Dataset.fromRecords(collectRows(pair.e), Level, WindowSec, BParam)
     val dsI = LocalReference.Dataset.fromRecords(collectRows(pair.i), Level, WindowSec, BParam)
@@ -235,7 +233,7 @@ class SimilarityPipelineSpec extends SparkSpec {
 
   test("true pairs outscore impostors on generated data") {
     val pair = genPair(12, 80, 0.8)
-    val cfg = Similarity.ScoreConfig(runawayKm = Proximity.runawayKm(WindowSec, 2.0))
+    val cfg = Similarity.ScoreConfig(runawayKm = RunawayKm)
     val scores = scoreAll(pair.e, pair.i, cfg)
     var wins = 0; var total = 0
     for ((u, v) <- pair.truth) {

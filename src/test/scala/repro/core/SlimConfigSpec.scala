@@ -5,10 +5,11 @@ import org.scalatest.funsuite.AnyFunSuite
 class SlimConfigSpec extends AnyFunSuite {
 
   test("defaults mirror the paper's §5.1 settings") {
+    // b, the max speed and the alibi floor are constants; the rest defaults.
     val c = Slim.SlimConfig()
     assert(c.windowSec == 900)                 // 15-minute windows
     assert(c.bParam == 0.5)
-    assert(c.speedKmPerMin == 2.0)             // US-highway-derived max speed
+    assert(Proximity.MaxSpeedKmPerMin == 2.0)  // US-highway-derived max speed
     assert(c.pairing == Similarity.MnnWithMfn) // MNN + MFN alibi pass
     assert(c.useIdf && c.useNorm)
     assert(c.lsh.isEmpty)                      // brute force unless enabled
@@ -17,15 +18,13 @@ class SlimConfigSpec extends AnyFunSuite {
   test("scoreConfig derives the runaway distance from window and speed") {
     assert(Slim.SlimConfig().scoreConfig.runawayKm == 30.0)
     assert(Slim.SlimConfig(windowSec = 300).scoreConfig.runawayKm == 10.0)
-    assert(Slim.SlimConfig(speedKmPerMin = 1.0).scoreConfig.runawayKm == 15.0)
   }
 
   test("scoreConfig forwards the ablation flags") {
     val sc = Slim.SlimConfig(pairing = Similarity.AllPairs, useIdf = false,
-      useNorm = false, floor = -5.0).scoreConfig
+      useNorm = false).scoreConfig
     assert(sc.pairing == Similarity.AllPairs)
     assert(!sc.useIdf && !sc.useNorm)
-    assert(sc.floor == -5.0)
   }
 
   test("LSH defaults follow the paper's §5.3 setup") {

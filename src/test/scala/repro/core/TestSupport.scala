@@ -186,7 +186,7 @@ object TestSupport {
     val uc = us.map(_.cell); val vc = vs.map(_.cell)
     def weight(a: Int, b: Int): Double =
       if (cfg.useIdf) math.min(us(a).idf, vs(b).idf) else 1.0
-    def prox(d: Double): Double = Proximity.proximity(d, cfg.runawayKm, cfg.floor)
+    def prox(d: Double): Double = Proximity.proximity(d, cfg.runawayKm)
 
     var raw = 0.0; var alibis = 0L
     val comparisons = us.length.toLong * vs.length.toLong

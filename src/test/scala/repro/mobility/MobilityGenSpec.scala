@@ -25,7 +25,8 @@ class MobilityGenSpec extends SparkSpec {
   test("timestamps lie within the configured span, sorted per entity") {
     val span = cab.days * 86400L
     val recs = MobilityGen.entityRecords(3L, cab)
-    assert(recs.forall(r => r.ts >= cab.startEpoch && r.ts < cab.startEpoch + span))
+    val start = MobilityGen.StartEpoch
+    assert(recs.forall(r => r.ts >= start && r.ts < start + span))
     assert(recs.map(_.ts) == recs.map(_.ts).sorted)
   }
 
@@ -37,12 +38,14 @@ class MobilityGenSpec extends SparkSpec {
   }
 
   test("an entity's own records never violate the runaway speed (no self-alibis)") {
-    val runaway = Proximity.runawayKm(900, 2.0) // 30 km per 15-min window
-    for (id <- 0L until 10L) {
-      val recs = MobilityGen.entityRecords(id, cab)
-      for (Seq(a, b) <- recs.sliding(2) if b.ts / 900 == a.ts / 900) {
+    val runaway = Proximity.runawayKm(900, Proximity.MaxSpeedKmPerMin) // 30 km per 15-min window
+    val sm = MobilityGen.smConfig(nEntities = 40, recordsPerEntity = 100, days = 2)
+    for ((name, gen) <- Seq("Cab" -> cab, "SM" -> sm)) {
+      assert(gen.travelKmPerMin < Proximity.MaxSpeedKmPerMin, name)
+      for (id <- 0L until 10L; Seq(a, b) <- MobilityGen.entityRecords(id, gen).sliding(2)
+           if b.ts / 900 == a.ts / 900) {
         val d = Grid.haversineKm(a.lat, a.lon, b.lat, b.lon)
-        assert(d <= runaway, s"entity $id moved $d km within one window")
+        assert(d <= runaway, s"$name entity $id moved $d km within one window")
       }
     }
   }
