@@ -12,7 +12,8 @@ import scala.collection.mutable
   * Per shared temporal window, the bins of the two entities are paired by the
   * pairing function N (mutually nearest neighbours, computed greedily: take
   * the globally closest remaining cross pair, retire both bins, repeat until
-  * the smaller side is exhausted). Each pair contributes
+  * the smaller side is exhausted; [[Kernel]] selects each pair by a scan of
+  * the free pairs, with no sort). Each pair contributes
   * `P(e, i) * min(idf(e), idf(i))`; the per-entity-pair sum is then divided by
   * the BM25-style length norms `L(u) * L(v)`.
   *
@@ -73,10 +74,14 @@ object Similarity {
     * `v = vCells(vFrom until vFrom + nv)` and leaves the unnormalized sum in
     * [[raw]] and the counted negative-proximity pairs in [[alibis]]; the
     * comparisons are `nu * nv`. The cell distances are computed once into an
-    * array; MNN (and MFN) take pairs greedily in an index sort of that array
-    * ordered by `(d, cellU, cellV)` (`-d` for MFN), then by position, so
-    * equal keys keep the order of the input. The MFN pass is skipped when no
-    * pair is beyond R: it only adds negative proximities.
+    * array. MNN (and MFN) then pair greedily by selection, as Alg. 1 states
+    * it: each step scans the free pairs for the first by `(d, cellU, cellV)`
+    * (`-d` for MFN), the lowest index among equal keys, and retires both of
+    * its bins. A pass costs O(min(nu, nv) * nu * nv) against a sort's
+    * O(nu * nv * log): no slower at the generated inputs' sizes (1.0-10.7
+    * bins per entity and window on average, at most 391 pairs; wider
+    * windows not measured). The MFN pass is skipped when no pair is beyond
+    * R: it only adds negative proximities.
     *
     * The scratch arrays grow to the largest pair seen and are reused, so a
     * warm call allocates nothing. Not thread-safe: one kernel per task.
@@ -88,12 +93,10 @@ object Similarity {
     var alibis = 0L
 
     private var dist = new Array[Double](16)
-    private var order = new Array[Int](16)
-    private var tmp = new Array[Int](16)
     private var counted = new Array[Boolean](16)
     private var usedU = new Array[Boolean](4)
     private var usedV = new Array[Boolean](4)
-    // The current pair, read by the passes and the sort's comparison.
+    // The current pair, read by the passes and by [[before]].
     private var uc: Array[Long] = _
     private var ui: Array[Double] = _
     private var vc: Array[Long] = _
@@ -110,8 +113,7 @@ object Similarity {
       val m = nu * nv
       if (dist.length < m) {
         val cap = math.max(m, 2 * dist.length)
-        dist = new Array[Double](cap); order = new Array[Int](cap)
-        tmp = new Array[Int](cap); counted = new Array[Boolean](cap)
+        dist = new Array[Double](cap); counted = new Array[Boolean](cap)
       }
       var maxD = 0.0
       var a = 0
@@ -149,35 +151,44 @@ object Similarity {
     private def weight(a: Int, b: Int): Double =
       if (cfg.useIdf) math.min(ui(uFrom + a), vi(vFrom + b)) else 1.0
 
-    /** One greedy pairing pass: MNN counts every pair it takes; MFN adds
-      * only the negative pairs MNN did not count (Alg. 1).
+    /** One greedy pairing pass (Alg. 1): take the [[firstFree]] pair, retire
+      * both bins, repeat until the smaller side runs out. MNN counts every
+      * pair it takes; MFN adds only the negative pairs MNN did not count.
       */
     private def greedy(m: Int, nu: Int, mfn: Boolean): Unit = {
       nearest = !mfn
-      sortOrder(m)
       java.util.Arrays.fill(usedU, 0, nu, false)
       java.util.Arrays.fill(usedV, 0, nv, false)
-      val target = math.min(nu, nv)
-      var taken = 0; var x = 0
-      while (taken < target && x < m) {
-        val k = order(x)
+      var left = math.min(nu, nv)
+      while (left > 0) {
+        val k = firstFree(m)
         val a = k / nv; val b = k - a * nv
-        if (!usedU(a) && !usedV(b)) {
-          usedU(a) = true; usedV(b) = true; taken += 1
-          val p = prox(dist(k))
-          if (!mfn) {
-            raw += p * weight(a, b)
-            if (p < 0) alibis += 1
-            counted(k) = true
-          } else if (p < 0 && !counted(k)) {
-            raw += p * weight(a, b); alibis += 1
-          }
+        usedU(a) = true; usedV(b) = true; left -= 1
+        val p = prox(dist(k))
+        if (!mfn) {
+          raw += p * weight(a, b)
+          if (p < 0) alibis += 1
+          counted(k) = true
+        } else if (p < 0 && !counted(k)) {
+          raw += p * weight(a, b); alibis += 1
         }
-        x += 1
       }
     }
 
-    /** Whether pair `k` comes before pair `j` in the current pass's order. */
+    /** The free pair first by [[before]]; the lowest index of equal keys. */
+    private def firstFree(m: Int): Int = {
+      var best = -1; var k = 0; var a = 0; var b = 0
+      while (k < m) {
+        if (!usedU(a) && !usedV(b) && (best < 0 || before(k, best))) best = k
+        k += 1; b += 1
+        if (b == nv) { b = 0; a += 1 }
+      }
+      best
+    }
+
+    /** Whether pair `k` comes strictly before pair `j` in the current
+      * pass's order: by `d` (`-d` for MFN), then `cellU`, then `cellV`.
+      */
     private def before(k: Int, j: Int): Boolean = {
       val c =
         if (nearest) java.lang.Double.compare(dist(k), dist(j))
@@ -186,44 +197,7 @@ object Similarity {
       val ak = k / nv; val aj = j / nv
       val cu = java.lang.Long.compare(uc(uFrom + ak), uc(uFrom + aj))
       if (cu != 0) return cu < 0
-      val cv = java.lang.Long.compare(vc(vFrom + k - ak * nv), vc(vFrom + j - aj * nv))
-      if (cv != 0) cv < 0 else k < j
-    }
-
-    /** `order(0 until m)` = the pair indices sorted by [[before]]: insertion
-      * sort on runs of 16, then bottom-up merges through `tmp`.
-      */
-    private def sortOrder(m: Int): Unit = {
-      var i = 0
-      while (i < m) { order(i) = i; i += 1 }
-      var lo = 0
-      while (lo < m) {
-        val hi = math.min(lo + 16, m)
-        var x = lo + 1
-        while (x < hi) {
-          val k = order(x); var y = x - 1
-          while (y >= lo && before(k, order(y))) { order(y + 1) = order(y); y -= 1 }
-          order(y + 1) = k
-          x += 1
-        }
-        lo = hi
-      }
-      var src = order; var dst = tmp; var width = 16
-      while (width < m) {
-        lo = 0
-        while (lo < m) {
-          val mid = math.min(lo + width, m); val hi = math.min(lo + 2 * width, m)
-          var l = lo; var r = mid; var o = lo
-          while (o < hi) {
-            if (r >= hi || (l < mid && !before(src(r), src(l)))) { dst(o) = src(l); l += 1 }
-            else { dst(o) = src(r); r += 1 }
-            o += 1
-          }
-          lo = hi
-        }
-        val t = src; src = dst; dst = t; width *= 2
-      }
-      if (src ne order) System.arraycopy(src, 0, order, 0, m)
+      java.lang.Long.compare(vc(vFrom + k - ak * nv), vc(vFrom + j - aj * nv)) < 0
     }
   }
 

@@ -38,21 +38,19 @@ object Experiments {
     * per-dataset entity count; ground truth holds `rho * n` common entities.
     */
   def cabScenario(spark: SparkSession, n: Int, recsPerEntity: Double, days: Int,
-                  rho: Double, p: Double): Scenario = {
-    val ground = MobilityGen.ground(spark,
-      MobilityGen.cabConfig(nEntities = 2 * n, recordsPerEntity = recsPerEntity,
-        days = days, seed = 17)).cache()
-    Scenario(s"cab(n=$n,recs=$recsPerEntity,rho=$rho,p=$p)",
-      MobilityGen.samplePair(ground, n, rho, p))
-  }
+                  rho: Double, p: Double): Scenario =
+    scenario(spark, "cab", MobilityGen.cabConfig(2 * n, recsPerEntity, days), n, rho, p)
 
   /** SM-like scenario (many cities, few records per entity). */
   def smScenario(spark: SparkSession, n: Int, recsPerEntity: Double, days: Int,
-                 rho: Double, p: Double): Scenario = {
-    val ground = MobilityGen.ground(spark,
-      MobilityGen.smConfig(nEntities = 2 * n, recordsPerEntity = recsPerEntity,
-        days = days, seed = 19)).cache()
-    Scenario(s"sm(n=$n,recs=$recsPerEntity,rho=$rho,p=$p)",
+                 rho: Double, p: Double): Scenario =
+    scenario(spark, "sm", MobilityGen.smConfig(2 * n, recsPerEntity, days), n, rho, p)
+
+  /** `n` entities per dataset sampled from the cached ground trace of `gen`. */
+  private def scenario(spark: SparkSession, kind: String, gen: MobilityGen.GenConfig, n: Int,
+                       rho: Double, p: Double): Scenario = {
+    val ground = MobilityGen.ground(spark, gen).cache()
+    Scenario(s"$kind(n=$n,recs=${gen.recordsPerEntity},rho=$rho,p=$p)",
       MobilityGen.samplePair(ground, n, rho, p))
   }
 
@@ -152,19 +150,12 @@ object Experiments {
     * function of signature spatial level and temporal step size.
     */
   def lshLevelSweep(spark: SparkSession, sc: Scenario, sigLevels: Seq[Int],
-                    steps: Seq[Int]): Seq[LshLevelRow] = {
-    val cfg = Slim.SlimConfig()
-    val bf = runSlim(spark, sc, cfg)
-    for (lvl <- sigLevels; step <- steps) yield {
-      val lsh = runSlim(spark, sc, cfg.copy(lsh = Some(
-        Lsh.LshConfig(sigLevel = lvl, stepWindows = step))))
-      LshLevelRow(lvl, step,
-        if (bf.f1 == 0) 0 else lsh.f1 / bf.f1,
-        if (lsh.comparisons == 0) Double.PositiveInfinity
-        else bf.comparisons.toDouble / lsh.comparisons,
-        lsh.nCandidates)
-    }
-  }
+                    steps: Seq[Int]): Seq[LshLevelRow] =
+    lshVsBruteForce(spark, sc,
+      for (lvl <- sigLevels; step <- steps) yield Lsh.LshConfig(sigLevel = lvl, stepWindows = step))
+      .map { case (lsh, m, relF1, speedup) =>
+        LshLevelRow(lsh.sigLevel, lsh.stepWindows, relF1, speedup, m.nCandidates)
+      }
 
   // -------------------------------------------------------------------- T6
 
@@ -178,17 +169,25 @@ object Experiments {
     * signature level `sigLevel` and step `stepWindows`.
     */
   def lshBucketSweep(spark: SparkSession, sc: Scenario, bucketCounts: Seq[Int],
-                     ts: Seq[Double], sigLevel: Int, stepWindows: Int): Seq[LshBucketRow] = {
+                     ts: Seq[Double], sigLevel: Int, stepWindows: Int): Seq[LshBucketRow] =
+    lshVsBruteForce(spark, sc,
+      for (t <- ts; b <- bucketCounts) yield Lsh.LshConfig(t = t, sigLevel = sigLevel,
+        stepWindows = stepWindows, numBuckets = b))
+      .map { case (lsh, _, relF1, speedup) => LshBucketRow(lsh.numBuckets, lsh.t, relF1, speedup) }
+
+  /** One brute-force link, then one link per LSH config, in order. Each LSH
+    * run comes back with its config, its metrics, its F1 relative to brute
+    * force and its comparison-count speed-up (`+inf` when it made no
+    * comparisons).
+    */
+  private def lshVsBruteForce(spark: SparkSession, sc: Scenario, lshs: Seq[Lsh.LshConfig])
+      : Seq[(Lsh.LshConfig, RunMetrics, Double, Double)] = {
     val cfg = Slim.SlimConfig()
     val bf = runSlim(spark, sc, cfg)
-    for (t <- ts; b <- bucketCounts) yield {
-      val lsh = runSlim(spark, sc, cfg.copy(lsh = Some(
-        Lsh.LshConfig(t = t, sigLevel = sigLevel, stepWindows = stepWindows,
-          numBuckets = b))))
-      LshBucketRow(b, t,
-        if (bf.f1 == 0) 0 else lsh.f1 / bf.f1,
-        if (lsh.comparisons == 0) Double.PositiveInfinity
-        else bf.comparisons.toDouble / lsh.comparisons)
+    lshs.map { lsh =>
+      val m = runSlim(spark, sc, cfg.copy(lsh = Some(lsh)))
+      (lsh, m, if (bf.f1 == 0) 0 else m.f1 / bf.f1,
+        if (m.comparisons == 0) Double.PositiveInfinity else bf.comparisons.toDouble / m.comparisons)
     }
   }
 

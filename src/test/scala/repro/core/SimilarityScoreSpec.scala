@@ -127,12 +127,11 @@ class SimilarityScoreSpec extends AnyFunSuite {
     assert(ap.raw == 9.0 && mnn.raw == 3.0)
   }
 
-  test("property: the primitive kernel equals the boxed oracle exactly") {
-    // Random windows: 1-12 bins per side at mixed levels around one point,
-    // with shared and repeated cells, equal-distance ties (cells mirrored
-    // around a centre, adjacent cells at distance 0) and pairs beyond R and
-    // 2R (a level-14 cell is ~2.4 km; offsets reach ~40 cells).
-    val rnd = new Random(20261019L)
+  // A random window: 1-12 bins per side at mixed levels around one point,
+  // with shared and repeated cells, equal-distance ties (cells mirrored
+  // around a centre, adjacent cells at distance 0) and pairs beyond R and
+  // 2R (a level-14 cell is ~2.4 km; offsets reach ~40 cells).
+  private def randomWindow(rnd: Random): (IndexedSeq[Bin], IndexedSeq[Bin]) = {
     val centre = 8192
     def cell(level: Int, dx: Int, dy: Int): Long = {
       val shift = 14 - level
@@ -145,23 +144,29 @@ class SimilarityScoreSpec extends AnyFunSuite {
       cell(level, dx, dy)
     }
     def randomIdf(): Double = if (rnd.nextInt(4) == 0) 1.0 else rnd.nextDouble() * 4
+    val us = IndexedSeq.fill(1 + rnd.nextInt(12))(Bin(randomCell(), randomIdf()))
+    val mirrored = us.map { b => // the mirror image of a u cell, at the same distance
+      val l = Grid.levelOf(b.cell); val n = 1 << l
+      Grid.pack(l, math.max(0, math.min(n - 1, 2 * (centre >> (14 - l)) - Grid.xOf(b.cell))),
+        Grid.yOf(b.cell))
+    }
+    val vs = IndexedSeq.fill(1 + rnd.nextInt(12)) {
+      val c = rnd.nextInt(4) match {
+        case 0 => us(rnd.nextInt(us.length)).cell         // shared cell
+        case 1 => mirrored(rnd.nextInt(mirrored.length))  // tie with a mirrored pair
+        case _ => randomCell()
+      }
+      Bin(c, randomIdf())
+    }
+    (us, vs)
+  }
+
+  test("property: the primitive kernel equals the boxed oracle exactly") {
+    val rnd = new Random(20261019L)
     val pairings = Seq(MnnWithMfn, MnnOnly, AllPairs)
     var checked = 0
     for (_ <- 1 to 1500) {
-      val us = IndexedSeq.fill(1 + rnd.nextInt(12))(Bin(randomCell(), randomIdf()))
-      val mirrored = us.map { b => // the mirror image of a u cell, at the same distance
-        val l = Grid.levelOf(b.cell); val n = 1 << l
-        Grid.pack(l, math.max(0, math.min(n - 1, 2 * (centre >> (14 - l)) - Grid.xOf(b.cell))),
-          Grid.yOf(b.cell))
-      }
-      val vs = IndexedSeq.fill(1 + rnd.nextInt(12)) {
-        val c = rnd.nextInt(4) match {
-          case 0 => us(rnd.nextInt(us.length)).cell         // shared cell
-          case 1 => mirrored(rnd.nextInt(mirrored.length))  // tie with a mirrored pair
-          case _ => randomCell()
-        }
-        Bin(c, randomIdf())
-      }
+      val (us, vs) = randomWindow(rnd)
       for (pairing <- pairings; useIdf <- Seq(true, false)) {
         val c = cfg(pairing, useIdf)
         val got = windowScore(us, vs, c)
@@ -171,6 +176,34 @@ class SimilarityScoreSpec extends AnyFunSuite {
       }
     }
     assert(checked == 1500 * 6)
+  }
+
+  test("one kernel reused over shared arrays at non-zero offsets equals the oracle") {
+    // As in a stage-3 task: one kernel scores window after window, each
+    // side's bins read from one array per side. Other bins come first, so no
+    // window starts at 0, and the windows alternate biggest and smallest
+    // remaining, so the scratch arrays grow and then serve smaller pairs.
+    val rnd = new Random(20261020L)
+    val bySize = IndexedSeq.fill(400)(randomWindow(rnd)).sortBy { case (us, vs) => us.length * vs.length }
+    val windows = bySize.indices.map(j =>
+      if (j % 2 == 0) bySize(bySize.length - 1 - j / 2) else bySize(j / 2))
+    val (padU, padV) = randomWindow(rnd)
+    def packed(sides: IndexedSeq[IndexedSeq[Bin]]): (Array[Long], Array[Double], IndexedSeq[Int]) = {
+      val all = sides.flatten
+      (all.map(_.cell).toArray, all.map(_.idf).toArray, sides.scanLeft(0)(_ + _.length).tail)
+    }
+    val (uCells, uIdf, uFrom) = packed(padU +: windows.map(_._1))
+    val (vCells, vIdf, vFrom) = packed(padV +: windows.map(_._2))
+    for (pairing <- Seq(MnnWithMfn, MnnOnly, AllPairs); useIdf <- Seq(true, false)) {
+      val c = cfg(pairing, useIdf)
+      val kernel = new Kernel(c)
+      for (((us, vs), w) <- windows.zipWithIndex) {
+        kernel.score(uCells, uIdf, uFrom(w), us.length, vCells, vIdf, vFrom(w), vs.length)
+        val want = TestSupport.windowScore(us, vs, c)
+        assert((kernel.raw, kernel.alibis) == (want.raw, want.alibiPairs),
+          s"$pairing idf=$useIdf window $w: us=$us vs=$vs")
+      }
+    }
   }
 
   test("windowScore is symmetric in its sides") {
