@@ -68,24 +68,24 @@ object STLink {
   }
 
   /** ST-Link over two location datasets `(id, ts, lat, lon)` on SLIM's stage-1
-    * plan: one shuffle bins both into one cache partitioned by window
-    * ([[Histories.buildSides]]), and two passes over its RDD read each
-    * partition's windows ([[Histories.windows]]), reduce them and finish on
-    * the driver. Pass 1 gives the record comparisons and each co-located
-    * pair's shared bins per cell, summed into `cooc` and `ldiv`; pass 2
-    * counts the alibi cell pairs of the pairs past (k, l), which reach the
-    * tasks as a broadcast index.
+    * binning: one shuffle bins both into one cached RDD partitioned by window
+    * ([[Histories.binSides]]), and two passes over it read each partition's
+    * windows ([[Histories.windows]]), reduce them and finish on the driver.
+    * Pass 1 gives the record comparisons and each co-located pair's shared
+    * bins per cell, summed into `cooc` and `ldiv`; its collect also runs the
+    * binning's shuffle and fills the cache. Pass 2 counts the alibi cell
+    * pairs of the pairs past (k, l), which reach the tasks as a broadcast
+    * index. A warm run is at most 2 Spark jobs.
     */
   def run(spark: SparkSession, recordsE: DataFrame, recordsI: DataFrame,
           cfg: Config): Result = {
     val t0 = System.nanoTime()
-    val hist = Histories.buildSides(recordsE, recordsI, cfg.level, cfg.windowSec).cache()
+    val bins = Histories.binSides(recordsE, recordsI, cfg.level, cfg.windowSec)
     try {
-      val bins = Histories.sideBins(hist)
-      val pass1 = bins.mapPartitions { rows =>
+      val pass1 = bins.mapPartitions { blocks =>
         val shared = collection.mutable.HashMap.empty[(Long, Long, Long), Long].withDefaultValue(0L)
         var comparisons = 0L
-        for ((_, es, is) <- Histories.windows(rows)) {
+        for ((_, es, is) <- Histories.windows(blocks)) {
           comparisons += es.map(_._5).sum * is.map(_._5).sum
           val iByCell = is.groupMap(_._4)(_._2)
           for ((_, u, _, cell, _) <- es; v <- iByCell.getOrElse(cell, Array.emptyLongArray))
@@ -103,9 +103,9 @@ object STLink {
       val alibis = if (passing.isEmpty) Map.empty[(Long, Long), Long] else {
         val runaway = Proximity.runawayKm(cfg.windowSec, cfg.speedKmPerMin)
         val index = spark.sparkContext.broadcast(Similarity.candidateIndex(passing.keys))
-        try bins.mapPartitions { rows =>
+        try bins.mapPartitions { blocks =>
           val counts = collection.mutable.HashMap.empty[(Long, Long), Long].withDefaultValue(0L)
-          for ((_, es, is) <- Histories.windows(rows)) {
+          for ((_, es, is) <- Histories.windows(blocks)) {
             val iCells = is.groupMap(_._2)(_._4)
             for ((u, us) <- es.groupMap(_._2)(_._4); v <- index.value.getOrElse(u, Array.emptyLongArray);
                  vs <- iCells.get(v))
@@ -123,6 +123,6 @@ object STLink {
       val links = survivors.keys.toSeq.filter { case (u, v) => byU(u).size == 1 && byV(v).size == 1 }
       Result(links.sorted, survivors, kUsed, lUsed, pass1.map(_._1).sum,
         (System.nanoTime() - t0) / 1000000L)
-    } finally hist.unpersist()
+    } finally bins.unpersist()
   }
 }

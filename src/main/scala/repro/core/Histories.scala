@@ -1,101 +1,154 @@
 package repro.core
 
+import org.apache.spark.Partitioner
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Encoder, Encoders}
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.classic.ClassicConversions.castToImpl
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.expressions.UserDefinedFunction
+import org.apache.spark.storage.StorageLevel
+import org.apache.spark.unsafe.hash.Murmur3_x86_32
 
-/** Mobility history construction (paper §2.3) as DataFrame transformations.
+import scala.collection.mutable
+
+/** Mobility history construction (paper §2.3).
   *
   * A location dataset is a DataFrame with columns
   * `(id: Long, ts: Long /*epoch seconds*/, lat: Double, lon: Double)`.
   * Its mobility histories are the leaf-level time-location bins:
   * `(id, win, cell, cnt)` where `win = floor(ts / windowSec)` and `cell` is
   * the [[Grid]] cell id of `(lat, lon)` at the configured spatial level.
+  *
+  * [[Slim.link]] and ST-Link bin both datasets into one cached RDD
+  * ([[binSides]]) and read it a window at a time ([[windows]]). The
+  * DataFrame transformations ([[build]], [[idf]], [[lengthNorm]],
+  * [[binsByWindow]]) are the reference they are checked against.
   */
 object Histories {
 
   /** Expected input schema of a location dataset. */
   val RecordColumns: Seq[String] = Seq("id", "ts", "lat", "lon")
 
-  /** UDF mapping (lat, lon) to a packed Grid cell id at `level`. */
+  /** UDF mapping (lat, lon) to a packed Grid cell id at `level`, for the
+    * reference transformations ([[build]], [[Lsh.signatures]]).
+    */
   def cellUdf(level: Int): UserDefinedFunction =
     udf((lat: Double, lon: Double) => Grid.cellOf(lat, lon, level))
 
   /** Leaf-level time-location bins: one row per (id, win, cell) with the
     * record count `cnt`. This is the DataFrame equivalent of the leaf level of
-    * the paper's mobility history tree.
+    * the paper's mobility history tree, and the reference for [[binSides]].
     *
     * The output is hash-partitioned by `win` (into
     * `spark.sql.shuffle.partitions` partitions), so all rows of a window are
-    * in one partition: the idf per `(win, cell)` and stage 3's scoring of
-    * each window ([[Similarity.scoreWindows]]) need no other shuffle, and a
-    * cached copy keeps the partitioning.
+    * in one partition and the idf per `(win, cell)` needs no other shuffle.
     */
   def build(records: DataFrame, level: Int, windowSec: Long): DataFrame =
-    binned(records, Nil, level, windowSec)
+    records
+      .select(col("id"), window(windowSec), cellUdf(level)(col("lat"), col("lon")).as("cell"))
+      .repartition(col("win"))
+      .groupBy("id", "win", "cell")
+      .agg(count(lit(1)).as("cnt"))
 
-  /** Side of dataset E in [[tagSides]]' and [[buildSides]]' `side` column. */
+  /** A record's window `win = floor(ts / windowSec)`, as [[build]] and
+    * [[binSides]] compute it.
+    */
+  private def window(windowSec: Long): Column = {
+    require(windowSec > 0, "windowSec must be positive")
+    floor(col("ts") / windowSec).cast("long").as("win")
+  }
+
+  /** Side of dataset E in [[binSides]]' rows. */
   val SideE = 0
   /** Side of dataset I. */
   val SideI = 1
 
-  /** Both location datasets in one relation: `(side, id, ts, lat, lon)`, with
-    * `side` [[SideE]] for the rows of `recordsE` and [[SideI]] for those of
-    * `recordsI`. An id present in both datasets stays two entities.
-    */
-  def tagSides(recordsE: DataFrame, recordsI: DataFrame): DataFrame = {
-    def tagged(records: DataFrame, side: Int) =
-      records.select(lit(side).as("side") +: RecordColumns.map(col): _*)
-    tagged(recordsE, SideE).union(tagged(recordsI, SideI))
-  }
-
-  /** [[build]] of both datasets at once, over their [[tagSides]] rows:
-    * `(side, id, win, cell, cnt)`, hash-partitioned by `win` by one shuffle
-    * and sorted by `win` within each partition (a sort that can spill; no
-    * exchange). The rows with `side = s` are exactly [[build]] of that dataset.
-    */
-  def buildSides(recordsE: DataFrame, recordsI: DataFrame, level: Int,
-                 windowSec: Long): DataFrame =
-    binned(tagSides(recordsE, recordsI), Seq("side"), level, windowSec).sortWithinPartitions("win")
-
-  /** The binning of [[build]] and [[buildSides]], grouped by `keys` as well. */
-  private def binned(records: DataFrame, keys: Seq[String], level: Int,
-                     windowSec: Long): DataFrame = {
-    require(windowSec > 0, "windowSec must be positive")
-    records
-      .select(keys.map(col) ++ Seq(
-        col("id"),
-        floor(col("ts") / windowSec).cast("long").as("win"),
-        cellUdf(level)(col("lat"), col("lon")).as("cell"),
-      ): _*)
-      .repartition(col("win"))
-      .groupBy((keys ++ Seq("id", "win", "cell")).map(col): _*)
-      .agg(count(lit(1)).as("cnt"))
-  }
-
-  /** A row of [[buildSides]]: `(side, id, win, cell, cnt)`. */
+  /** A row of [[binSides]]: `(side, id, win, cell, cnt)`. */
   type SideBin = (Int, Long, Long, Long, Long)
 
-  /** [[buildSides]]' rows as an RDD, in the histories' partitions. Catalyst
-    * plans the binning when this is called, once; the per-partition passes
-    * over the RDD are lambdas it would not look into anyway.
+  /** [[SideBin]] rows as primitive columns: row `k` is `(side(k), id(k),
+    * win(k), cell(k), cnt(k))`.
     */
-  def sideBins(hist: DataFrame): RDD[SideBin] =
-    hist.select("side", "id", "win", "cell", "cnt").as(sideBinEncoder).rdd
+  final case class Block(side: Array[Int], id: Array[Long], win: Array[Long], cell: Array[Long],
+                         cnt: Array[Long]) {
+    def rows: Iterator[SideBin] = id.indices.iterator.map(k => (side(k), id(k), win(k), cell(k), cnt(k)))
+  }
 
-  /** The encoder of [[SideBin]], derived once rather than on every link. */
-  private lazy val sideBinEncoder: Encoder[SideBin] = Encoders.tuple(Encoders.scalaInt,
-    Encoders.scalaLong, Encoders.scalaLong, Encoders.scalaLong, Encoders.scalaLong)
+  object Block {
+    def of(rows: Array[SideBin]): Block =
+      Block(rows.map(_._1), rows.map(_._2), rows.map(_._3), rows.map(_._4), rows.map(_._5))
+  }
 
-  /** One partition of [[sideBins]] as its windows in ascending order, each
-    * with E's rows and I's. [[buildSides]] partitions by window and sorts
-    * each partition by window, so each window is whole and its rows are
+  /** [[build]] of both datasets at once, as `(side, id, win, cell, cnt)`
+    * rows: the rows with `side = s` are exactly [[build]] of that dataset
+    * ([[SideE]] `recordsE`, [[SideI]] `recordsI`), and an id present in both
+    * datasets stays two entities.
+    *
+    * Each record's `id`, `win` and `(lat, lon)` are a Catalyst projection
+    * with [[build]]'s expressions and casts, read as internal rows; a null in
+    * any of the four columns fails the task with an error naming it. Each map
+    * task bins its records with [[Grid.cellOf]], counts them per bin and ships
+    * one [[Block]] per reduce partition. The reduce partition of a window is
+    * Spark SQL's `HashPartitioning(win)` into `spark.sql.shuffle.partitions`,
+    * where [[build]]'s `repartition` puts it. Each reduce task sums its
+    * blocks' equal bins, sorts them by `(win, side, id, cell)` and keeps them
+    * as one block: a partition holds whole windows in ascending order
+    * ([[windows]]).
+    *
+    * The result is persisted (`MEMORY_AND_DISK`), so its first action runs
+    * the shuffle and fills the cache in one job and later passes read the
+    * cache. Cached as primitive columns, a partition is a handful of objects
+    * for the block store to size, not one per bin. The caller releases it
+    * with `unpersist()`.
+    */
+  def binSides(recordsE: DataFrame, recordsI: DataFrame, level: Int,
+               windowSec: Long): RDD[Block] = {
+    val n = recordsE.sparkSession.sessionState.conf.numShufflePartitions
+    val columns = Seq(col("id").cast("long"), window(windowSec),
+      col("lat").cast("double"), col("lon").cast("double"))
+    def shipped(records: DataFrame, side: Int): RDD[(Int, Block)] =
+      records.select(columns: _*).queryExecution.toRdd.mapPartitions { rows =>
+        val counts = mutable.HashMap.empty[(Long, Long, Long), Long]
+        for (row <- rows) {
+          for (j <- RecordColumns.indices)
+            require(!row.isNullAt(j), s"null ${RecordColumns(j)} in a location record")
+          val bin = (row.getLong(0), row.getLong(1), Grid.cellOf(row.getDouble(2), row.getDouble(3), level))
+          counts(bin) = counts.getOrElse(bin, 0L) + 1
+        }
+        counts.iterator.map { case ((id, win, cell), cnt) => (side, id, win, cell, cnt) }.toArray
+          .groupBy(r => partitionOf(r._3, n)).iterator.map { case (p, rows) => p -> Block.of(rows) }
+      }
+    shipped(recordsE, SideE).union(shipped(recordsI, SideI))
+      .partitionBy(new Partitioner {
+        def numPartitions: Int = n
+        def getPartition(key: Any): Int = key.asInstanceOf[Int]
+      })
+      .mapPartitions { blocks =>
+        val sums = mutable.HashMap.empty[(Long, Int, Long, Long), Long]
+        for ((_, b) <- blocks; (side, id, win, cell, cnt) <- b.rows)
+          sums((win, side, id, cell)) = sums.getOrElse((win, side, id, cell), 0L) + cnt
+        if (sums.isEmpty) Iterator.empty
+        else Iterator.single(Block.of(sums.toArray.sortBy(_._1).map {
+          case ((win, side, id, cell), cnt) => (side, id, win, cell, cnt)
+        }))
+      }
+      .persist(StorageLevel.MEMORY_AND_DISK)
+  }
+
+  /** The partition of window `win` among `n` under Spark SQL's
+    * `HashPartitioning(win)`: `pmod(murmur3(win, seed 42), n)`.
+    */
+  private def partitionOf(win: Long, n: Int): Int =
+    Math.floorMod(Murmur3_x86_32.hashLong(win, 42), n)
+
+  /** One partition of [[binSides]] as its windows in ascending order, each
+    * with E's rows and I's. [[binSides]] partitions by window and sorts each
+    * partition by window, so each window is whole and its rows are
     * consecutive: only one window's rows are held at a time. A partition
     * that is not sorted by window fails rather than split a window.
     */
-  def windows(rows: Iterator[SideBin]): Iterator[(Long, Array[SideBin], Array[SideBin])] = {
-    val in = rows.buffered
+  def windows(blocks: Iterator[Block]): Iterator[(Long, Array[SideBin], Array[SideBin])] = {
+    val in = blocks.flatMap(_.rows).buffered
     var last = Option.empty[Long]
     Iterator.continually(in).takeWhile(_.hasNext).map { _ =>
       val win = in.head._3

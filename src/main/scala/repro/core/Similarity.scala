@@ -239,7 +239,7 @@ object Similarity {
     pairs.groupMap(_._1)(_._2).map { case (u, vs) => u -> vs.toArray.sorted }
 
   /** Stage 3: scores every shared window, one pass over the histories'
-    * partitions. `bins` are [[Histories.sideBins]] binned at `binLevel`;
+    * partitions. `bins` are [[Histories.binSides]] binned at `binLevel`;
     * each partition's windows are read whole and in ascending order
     * ([[Histories.windows]]), and their cells viewed at the scoring `level`
     * ([[Histories.cellsAt]]). Per window, each side's idf is counted among
@@ -251,14 +251,14 @@ object Similarity {
     * rows from all partitions add up to its unnormalized totals, which the
     * caller sums ([[Slim.scorePairs]]) and divides by `L(u) L(v)`.
     */
-  def scoreWindows(bins: RDD[Histories.SideBin], binLevel: Int, level: Int, nE: Long, nI: Long,
+  def scoreWindows(bins: RDD[Histories.Block], binLevel: Int, level: Int, nE: Long, nI: Long,
                    cfg: ScoreConfig, candidates: Option[Broadcast[Map[Long, Array[Long]]]] = None)
       : RDD[(Long, Long, Double, Long, Long)] =
-    bins.mapPartitions { rows =>
+    bins.mapPartitions { blocks =>
       val keep = candidates.map(_.value).orNull
       val kernel = new Kernel(cfg)
       val sums = mutable.HashMap.empty[(Long, Long), (Double, Long, Long)]
-      for ((_, es, is) <- Histories.windows(rows) if es.nonEmpty && is.nonEmpty) {
+      for ((_, es, is) <- Histories.windows(blocks) if es.nonEmpty && is.nonEmpty) {
         val e = windowSide(Histories.cellsAt(es, binLevel, level), nE)
         val i = windowSide(Histories.cellsAt(is, binLevel, level), nI)
         for (x <- e.ids.indices) {

@@ -2,22 +2,22 @@ package repro.core
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 
 import scala.collection.mutable
 
 /** End-to-end SLIM pipeline (paper Alg. 1 + §3.2 + §4).
   *
-  * Catalyst plans one query per link, the binning of both datasets. Each
-  * reduction whose result the driver needs is a pass over the cached bins'
-  * RDD, done per partition on the executors and finished on the driver, so
-  * no shuffle only feeds a collect:
+  * A link plans no query over its bins: both datasets are binned into one
+  * cached RDD ([[Histories.binSides]]), and each reduction whose result the
+  * driver needs is a pass over it, done per partition on the executors and
+  * finished on the driver, so no shuffle only feeds a collect:
   *  1. mobility histories + BM25 length norms of both datasets at once
-  *     ([[prepare]]): the records are tagged with their side, one shuffle
-  *     partitions both datasets' histories by window, which stage 3 reuses,
-  *     and one pass over them, a window at a time, counts each entity's bins
-  *     (and with LSH its records per query window and signature cell) per
-  *     partition; the driver adds up the counts into the norms;
+  *     ([[prepare]]): one shuffle partitions both datasets' histories by
+  *     window, which stage 3 reuses, and one pass over them, a window at a
+  *     time, counts each entity's bins (and with LSH its records per query
+  *     window and signature cell) per partition; the driver adds up the
+  *     counts into the norms;
   *  2. candidate pairs from dominating-cell banding LSH ([[lshCandidates]]),
   *     on the driver: every signature, its band buckets and the query
   *     windows' common range come from stage 1's signature counts, and E is
@@ -34,11 +34,9 @@ import scala.collection.mutable
   *  5. (driver) GMM stop-threshold over matched edge weights; links above the
   *     threshold are the output.
   *
-  * So a link runs one Spark action per collect: stage 1 of both datasets and
-  * the scored pairs. The binning's shuffle map stage runs as a Spark job of
-  * its own, and so does the cached histories' final stage: a warm link runs
-  * 4 Spark jobs, on brute force and on LSH alike, and stage 3's job runs one
-  * stage over the cache.
+  * So a warm link runs 2 Spark jobs, on brute force and on LSH alike: stage
+  * 1's collect, which also runs the binning's shuffle and fills the cache,
+  * and stage 3's collect of the scored pairs, one stage over the cache.
   */
 object Slim {
 
@@ -105,25 +103,23 @@ object Slim {
     * The per-dataset reference is [[Histories.build]] of its records with
     * [[Histories.idf]] and [[Histories.lengthNorm]]: the tests and the
     * benchmark's staged trace compare against those, and its side of
-    * [[Stage1.histories]] at the scoring level, the idf stage 3 counts from
-    * it and `norms` equal them.
+    * [[Stage1.bins]] at the scoring level, the idf stage 3 counts from it
+    * and `norms` equal them.
     */
   final case class Prepared(norms: Map[Long, Double]) {
     /** Number of entities with at least one record (0 for an empty dataset). */
     def nEntities: Long = norms.size.toLong
   }
 
-  /** Stage 1 of both datasets, from one Spark plan.
+  /** Stage 1 of both datasets, from one binning.
     *
     * @param e         dataset E
     * @param i         dataset I
-    * @param histories both datasets' histories `(side, id, win, cell, cnt)`
-    *                  from [[Histories.buildSides]], cached, at `binLevel`;
-    *                  partitioned by window and read from the cache until
-    *                  [[unpersist]]
-    * @param bins      the rows of `histories` as an RDD
-    *                  ([[Histories.sideBins]]): stages 1 and 3 are passes
-    *                  over it
+    * @param bins      both datasets' histories `(side, id, win, cell, cnt)`
+    *                  from [[Histories.binSides]] at `binLevel`: partitioned
+    *                  by window, each partition one block sorted by window,
+    *                  and read from the cache until [[unpersist]]. Stages 1
+    *                  and 3 are passes over it
     * @param level     the scoring level
     * @param binLevel  the finer of the scoring and the signature level
     * @param sigCounts with LSH, partial record counts
@@ -136,22 +132,22 @@ object Slim {
     *                  (a query window spans `step` windows, and each window
     *                  is in one partition). Empty without LSH.
     */
-  final case class Stage1(e: Prepared, i: Prepared, histories: DataFrame,
-                          bins: RDD[Histories.SideBin], level: Int, binLevel: Int,
-                          sigCounts: Seq[(Int, Long, Long, Long, Long)]) {
+  final case class Stage1(e: Prepared, i: Prepared, bins: RDD[Histories.Block], level: Int,
+                          binLevel: Int, sigCounts: Seq[(Int, Long, Long, Long, Long)]) {
     /** Releases the cached histories of both datasets. */
-    def unpersist(): Unit = histories.unpersist()
+    def unpersist(): Unit = bins.unpersist()
   }
 
   /** Stage 1 for both datasets: their histories and their length norms
     * (Eq. 2), and with LSH the signature counts. The two record sets are
-    * tagged with their side and binned together ([[Histories.buildSides]]):
-    * one shuffle by window and one cache serve both. One pass over the
-    * cache's RDD ([[Stage1.bins]]) reads each partition a window at a time
-    * ([[Histories.windows]]) and counts each entity's bins at the scoring
-    * level ([[Histories.cellsAt]]), the view stage 3 scores; the driver
-    * adds up the partitions' `(side, id, nbins)` counts (exact) into each
-    * side's mean history length and norms.
+    * binned together ([[Histories.binSides]]): one shuffle by window and one
+    * cache serve both. One pass over the bins ([[Stage1.bins]]) reads each
+    * partition a window at a time ([[Histories.windows]]) and counts each
+    * entity's bins at the scoring level ([[Histories.cellsAt]]), the view
+    * stage 3 scores; the driver adds up the partitions' `(side, id, nbins)`
+    * counts (exact) into each side's mean history length and norms. Its
+    * collect is one Spark job, which also runs the binning's shuffle and
+    * fills the cache.
     *
     * With LSH the same action collects each partition's record counts per
     * `(side, id, qidx, sigCell)` ([[Stage1.sigCounts]]): `qidx` is
@@ -166,26 +162,24 @@ object Slim {
   def prepare(recordsE: DataFrame, recordsI: DataFrame, cfg: SlimConfig): Stage1 = {
     val level = cfg.level
     val binLevel = cfg.lsh.fold(level)(l => math.max(level, l.sigLevel))
-    val hist = Histories.buildSides(recordsE, recordsI, binLevel, cfg.windowSec).cache()
+    val bins = Histories.binSides(recordsE, recordsI, binLevel, cfg.windowSec)
     val sig = cfg.lsh.map(l => (l.sigLevel, l.stepWindows.toLong))
-    val (bins, parts) = try {
-      val bins = Histories.sideBins(hist)
-      (bins, bins.mapPartitions { rows =>
-        val nbins = mutable.HashMap.empty[(Int, Long), Long]
-        val counts = mutable.HashMap.empty[(Int, Long, Long, Long), Long]
-        for ((win, es, is) <- Histories.windows(rows);
-             (s, side) <- Seq(Histories.SideE -> es, Histories.SideI -> is)) {
-          for ((id, _) <- Histories.cellsAt(side, binLevel, level))
-            nbins((s, id)) = nbins.getOrElse((s, id), 0L) + 1
-          for ((sigLevel, step) <- sig; (_, id, _, cell, cnt) <- side)
-            counts.updateWith((s, id, math.floorDiv(win, step), Grid.ancestorAt(cell, sigLevel))) {
-              n => Some(n.getOrElse(0L) + cnt)
-            }
-        }
-        Iterator.single((nbins.toSeq,
-          counts.iterator.map { case ((s, id, q, c), n) => (s, id, q, c, n) }.toSeq))
-      }.collect().toSeq)
-    } catch { case t: Throwable => hist.unpersist(); throw t }
+    val parts = try bins.mapPartitions { blocks =>
+      val nbins = mutable.HashMap.empty[(Int, Long), Long]
+      val counts = mutable.HashMap.empty[(Int, Long, Long, Long), Long]
+      for ((win, es, is) <- Histories.windows(blocks);
+           (s, side) <- Seq(Histories.SideE -> es, Histories.SideI -> is)) {
+        for ((id, _) <- Histories.cellsAt(side, binLevel, level))
+          nbins((s, id)) = nbins.getOrElse((s, id), 0L) + 1
+        for ((sigLevel, step) <- sig; (_, id, _, cell, cnt) <- side)
+          counts.updateWith((s, id, math.floorDiv(win, step), Grid.ancestorAt(cell, sigLevel))) {
+            n => Some(n.getOrElse(0L) + cnt)
+          }
+      }
+      Iterator.single((nbins.toSeq,
+        counts.iterator.map { case ((s, id, q, c), n) => (s, id, q, c, n) }.toSeq))
+    }.collect().toSeq
+    catch { case t: Throwable => bins.unpersist(); throw t }
     val nbins = parts.flatMap(_._1).groupMapReduce(_._1)(_._2)(_ + _)
     def side(s: Int): Prepared = {
       val sizes = nbins.collect { case ((`s`, id), n) => id -> n }
@@ -193,8 +187,7 @@ object Slim {
       // Histories.lengthNorm's column expression, in its operation order.
       Prepared(sizes.map { case (id, n) => id -> ((1.0 - BParam) + BParam * n / mean) })
     }
-    Stage1(side(Histories.SideE), side(Histories.SideI), hist, bins, level, binLevel,
-      parts.flatMap(_._2))
+    Stage1(side(Histories.SideE), side(Histories.SideI), bins, level, binLevel, parts.flatMap(_._2))
   }
 
   /** Stage 2: the LSH candidate pairs of a link's two datasets, on the

@@ -1,8 +1,9 @@
 package repro.baselines
 
 import org.apache.spark.sql.CachedPlans
+import org.apache.spark.sql.functions.{col, lit, when}
 import repro.SparkSpec
-import repro.core.{Metrics, TestSupport}
+import repro.core.{Histories, Metrics, TestSupport}
 import repro.core.TestSupport.recordsDf
 import repro.mobility.MobilityGen
 
@@ -109,14 +110,14 @@ class STLinkSpec extends SparkSpec {
     } finally spark.conf.set(key, saved)
   }
 
-  test("a warm ST-Link run runs at most 4 Spark jobs") {
-    // One shuffle bins both datasets into one cache; the co-occurrence and
-    // the alibi passes group it by window with no exchange.
+  test("a warm ST-Link run runs at most 2 Spark jobs") {
+    // The co-occurrence pass's collect bins both datasets into one cache
+    // with one shuffle; the alibi pass reads the cache with no exchange.
     auto // warm-up, not counted
     var r: STLink.Result = null
     val jobs = TestSupport.jobsDuring(spark) { r = STLink.run(spark, pair.e, pair.i, STLink.Config()) }
     assert(r.links.nonEmpty)
-    assert(jobs <= 4, s"$jobs jobs")
+    assert(jobs <= 2, s"$jobs jobs")
   }
 
   test("degenerate input: an empty E or I yields no links") {
@@ -132,11 +133,19 @@ class STLinkSpec extends SparkSpec {
   test("a run that throws leaves no histories cached") {
     def cached = (CachedPlans.count(spark), spark.sparkContext.getPersistentRDDs.keySet)
     val before = cached
-    // Behind a repartition the cell UDF is not evaluated while the cache is
-    // planned, so the NaN latitude fails the first pass's collect.
+    // A null in any record column, or a NaN latitude, also behind a
+    // repartition, fails the first pass's collect.
+    val some = recordsDf(spark, Seq((1L, 0L, 10.0, 10.0), (1L, 900L, 10.0, 10.0)))
+    def withNull(c: String) = some.withColumn(c, when(col("ts") === 0L, lit(null)).otherwise(col(c)))
     val nan = recordsDf(spark, Seq((1L, 0L, Double.NaN, 10.0), (1L, 900L, 10.0, 10.0)))
     val other = recordsDf(spark, Seq((2L, 0L, 10.0, 10.0)))
-    intercept[Exception](STLink.run(spark, nan.repartition(2), other, STLink.Config()))
-    assert(cached == before)
+    val bad = Histories.RecordColumns.map(c => (s"a null $c", withNull(c), s"null $c")) ++
+      Seq(("a NaN latitude", nan, "lat NaN"), ("a NaN latitude behind a repartition",
+        nan.repartition(2), "lat NaN"))
+    for ((name, records, message) <- bad) {
+      val e = intercept[Exception](STLink.run(spark, records, other, STLink.Config()))
+      assert(e.getMessage.contains(message), s"$name: ${e.getMessage}")
+      assert(cached == before, s"after $name")
+    }
   }
 }

@@ -160,12 +160,11 @@ class HistoriesSpec extends SparkSpec {
     }
   }
 
-  test("buildSides' partitions read as whole windows in ascending order") {
+  test("binSides' partitions read as whole windows in ascending order") {
     val recordsE = records.filter(col("id") < 20)
     val recordsI = records.filter(col("id") >= 10).withColumn("ts", col("ts") + 600)
-    val hist = Histories.buildSides(recordsE, recordsI, Level, WindowSec).cache()
+    val bins = Histories.binSides(recordsE, recordsI, Level, WindowSec)
     try {
-      val bins = Histories.sideBins(hist)
       assert(bins.getNumPartitions > 1)
       val parts = bins.mapPartitionsWithIndex { (p, rows) =>
         Iterator.single(p -> Histories.windows(rows).toArray)
@@ -177,11 +176,49 @@ class HistoriesSpec extends SparkSpec {
         assert((e ++ i).forall(_._3 == win))
         assert(e.forall(_._1 == Histories.SideE) && i.forall(_._1 == Histories.SideI))
       }
-      assert(parts.flatMap(_._2.flatMap(w => w._2 ++ w._3)).toSet == bins.collect().toSet)
-    } finally hist.unpersist()
+      assert(parts.flatMap(_._2.flatMap(w => w._2 ++ w._3)).toSet == bins.collect().flatMap(_.rows).toSet)
+    } finally bins.unpersist()
     // Rows not sorted by window fail instead of splitting the window.
-    val unsorted = Iterator((0, 1L, 5L, 9L, 1L), (1, 2L, 4L, 9L, 1L), (0, 3L, 5L, 9L, 1L))
+    val unsorted = Iterator(Histories.Block.of(Array((0, 1L, 5L, 9L, 1L), (1, 2L, 4L, 9L, 1L),
+      (0, 3L, 5L, 9L, 1L))))
     intercept[IllegalArgumentException](Histories.windows(unsorted).toList)
+  }
+
+  test("binSides puts each window in the partition of repartition(col(\"win\"))") {
+    // A pair's score sums its windows' partials per partition, so its last
+    // bits depend on which windows share a partition: the binning must place
+    // each window where Spark SQL's hash partitioning by `win` does. The
+    // reference is not cached, so AQE would coalesce its partitions.
+    val recordsE = records.filter(col("id") < 20)
+    val recordsI = records.filter(col("id") >= 10).withColumn("ts", col("ts") + 600)
+    val saved = Seq("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
+      .map(k => k -> spark.conf.get(k))
+    try for (n <- Seq(1, 7, 64)) {
+      spark.conf.set("spark.sql.shuffle.partitions", n.toString)
+      spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
+      def partitions(wins: org.apache.spark.rdd.RDD[Long]) =
+        wins.mapPartitionsWithIndex((p, ws) => ws.map(_ -> p)).collect().distinct
+      val want = partitions(recordsE.union(recordsI)
+        .select(floor(col("ts") / WindowSec).cast("long").as("win"))
+        .repartition(col("win")).rdd.map(_.getLong(0)))
+      val bins = Histories.binSides(recordsE, recordsI, Level, WindowSec)
+      val got = try {
+        assert(bins.getNumPartitions == n)
+        partitions(bins.flatMap(_.rows.map(_._3)))
+      } finally bins.unpersist()
+      assert(want.map(_._1).distinct.length == want.length)
+      assert(got.sorted.toSeq == want.sorted.toSeq, s"at $n partitions")
+    } finally saved.foreach { case (k, v) => spark.conf.set(k, v) }
+  }
+
+  test("binSides casts like build: int id and ts, float lat and lon") {
+    val narrow = records.select(col("id").cast("int").as("id"), col("ts").cast("int").as("ts"),
+      col("lat").cast("float").as("lat"), col("lon").cast("float").as("lon"))
+    val bins = Histories.binSides(narrow, narrow.limit(0), Level, WindowSec)
+    val got = try bins.collect().flatMap(_.rows).toSet finally bins.unpersist()
+    val want = Histories.build(narrow, Level, WindowSec).collect()
+      .map(r => (Histories.SideE, r.getInt(0).toLong, r.getLong(1), r.getLong(2), r.getLong(3))).toSet
+    assert(got.nonEmpty && got == want)
   }
 
   test("windows respect the configured width") {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.CachedPlans
+import org.apache.spark.sql.functions.{col, lit, when}
 import repro.SparkSpec
 import repro.mobility.MobilityGen
 import TestSupport.recordsDf
@@ -184,10 +185,10 @@ class SlimIntegrationSpec extends SparkSpec {
       recordsDf(spark, entity(101, 10.0) ++ entity(102, 40.0)))
   }
 
-  test("a warm link runs at most 4 Spark jobs (brute force) and 4 (LSH)") {
-    // Stage 1 of both datasets is one job chain and also counts the LSH
-    // signatures, whose candidates the driver computes; no reduction that
-    // the driver collects shuffles first.
+  test("a warm link runs 2 Spark jobs (brute force, LSH and a finer LSH level)") {
+    // Stage 1's collect runs the binning's shuffle, fills the cache and
+    // counts the LSH signatures, whose candidates the driver computes; stage
+    // 3's collect is one stage over the cache.
     val runs = for (c <- Seq(cfg, lshCfg, lshFineCfg)) yield {
       Slim.link(spark, smallE, smallI, c) // warm-up, not counted
       var r: Slim.SlimResult = null
@@ -195,23 +196,29 @@ class SlimIntegrationSpec extends SparkSpec {
     }
     val Seq((bfJobs, bfRun), (lshJobs, lshRun), (fineJobs, fineRun)) = runs
     assert(bfRun.links.nonEmpty && lshRun.nCandidates > 0 && fineRun.nCandidates > 0)
-    assert(bfJobs <= 4, s"brute force: $bfJobs jobs")
-    assert(lshJobs <= 4, s"LSH: $lshJobs jobs")
-    assert(fineJobs <= 4, s"LSH at signature level 16: $fineJobs jobs")
+    assert(bfJobs == 2, s"brute force: $bfJobs jobs")
+    assert(lshJobs == 2, s"LSH: $lshJobs jobs")
+    assert(fineJobs == 2, s"LSH at signature level 16: $fineJobs jobs")
   }
 
   test("a link that throws leaves no histories cached") {
     def cached = (CachedPlans.count(spark), spark.sparkContext.getPersistentRDDs.keySet)
     val before = cached
-    // A NaN latitude fails stage 1's cell UDF, and so does an LSH signature
-    // level beyond the grid, at which stage 1 bins.
+    // Stage 1's map tasks reject a null in any record column, naming it, and
+    // Grid.cellOf rejects a NaN latitude, also behind a repartition: each
+    // fails stage 1's collect.
+    def withNull(c: String) =
+      smallE.withColumn(c, when(col("ts") === 10L, lit(null)).otherwise(col(c)))
     val nan = recordsDf(spark, Seq((1L, 0L, Double.NaN, 10.0), (1L, 900L, 10.0, 10.0)))
-    intercept[Exception](Slim.link(spark, nan, smallI, cfg))
-    assert(cached == before, "after a stage-1 failure")
-    // Behind a repartition the UDF is not evaluated while the cache is
-    // planned, so the failure comes from stage 1's collect.
-    intercept[Exception](Slim.link(spark, nan.repartition(2), smallI, cfg))
-    assert(cached == before, "after a failure in stage 1's collect")
+    val bad = Histories.RecordColumns.map(c => (s"a null $c", withNull(c), s"null $c")) ++
+      Seq(("a NaN latitude", nan, "lat NaN"), ("a NaN latitude behind a repartition",
+        nan.repartition(2), "lat NaN"))
+    for ((name, records, message) <- bad) {
+      val e = intercept[Exception](Slim.link(spark, records, smallI, cfg))
+      assert(e.getMessage.contains(message), s"$name: ${e.getMessage}")
+      assert(cached == before, s"after $name")
+    }
+    // So does an LSH signature level beyond the grid, at which stage 1 bins.
     intercept[Exception](Slim.link(spark, smallE, smallI,
       cfg.copy(lsh = Some(Lsh.LshConfig(sigLevel = Grid.MaxLevel + 1)))))
     assert(cached == before, "after a signature-level failure")

@@ -88,10 +88,14 @@ object TestSupport {
   }
 
   /** One dataset's histories `(id, win, cell, cnt)` at the scoring level:
-    * its side of [[Slim.Stage1.histories]], coarsened.
+    * its side of [[Slim.Stage1.bins]] as a DataFrame, coarsened.
     */
-  def sideHistories(st: Slim.Stage1, side: Int): DataFrame =
-    coarsen(st.histories.filter(col("side") === side).drop("side"), st.level)
+  def sideHistories(st: Slim.Stage1, side: Int): DataFrame = {
+    val spark = SparkSession.active
+    import spark.implicits._
+    coarsen(st.bins.flatMap(_.rows).filter(_._1 == side).map(r => (r._2, r._3, r._4, r._5))
+      .toDF("id", "win", "cell", "cnt"), st.level)
+  }
 
   /** Exact maximum-weight matching by exhaustive search — the oracle for
     * [[Matching.greedy]] (exponential; callers keep graphs tiny).
