@@ -185,10 +185,12 @@ class SlimIntegrationSpec extends SparkSpec {
       recordsDf(spark, entity(101, 10.0) ++ entity(102, 40.0)))
   }
 
-  test("a warm link runs 2 Spark jobs (brute force, LSH and a finer LSH level)") {
-    // Stage 1's collect runs the binning's shuffle, fills the cache and
-    // counts the LSH signatures, whose candidates the driver computes; stage
-    // 3's collect is one stage over the cache.
+  test("a warm link runs at most 4 Spark jobs (brute force) and 4 (LSH)") {
+    // The name keeps the older bound of 4; each path now runs exactly 2
+    // jobs, at signature level 16 too. Stage 1's collect runs the binning's
+    // shuffle, fills the cache and counts the LSH signatures, whose
+    // candidates the driver computes; stage 3's collect is one stage over the
+    // cache.
     val runs = for (c <- Seq(cfg, lshCfg, lshFineCfg)) yield {
       Slim.link(spark, smallE, smallI, c) // warm-up, not counted
       var r: Slim.SlimResult = null
